@@ -141,9 +141,15 @@ class JsonParser
         JsonValue v;
         switch (c) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            if (depth_ == kMaxJsonDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth) + " levels");
+            ++depth_;
+            JsonValue nested = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return nested;
+          }
           case '"':
             v.kind_ = JsonValue::Kind::kString;
             v.string_ = parseString();
@@ -361,6 +367,7 @@ class JsonParser
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; //!< arrays/objects currently open
 };
 
 JsonValue

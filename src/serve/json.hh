@@ -21,12 +21,21 @@
 #ifndef HYPAR_SERVE_JSON_HH
 #define HYPAR_SERVE_JSON_HH
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace hypar::serve {
+
+/**
+ * Deepest array/object nesting JsonValue::parse accepts. The parser
+ * recurses once per level, so the cap bounds its stack use on hostile
+ * input; a deeper document is a parse error. Requests and cache
+ * entries nest at most four levels (`faults.nodes[i]`).
+ */
+inline constexpr std::size_t kMaxJsonDepth = 64;
 
 /** One parsed JSON value (object keys are sorted — std::map). */
 class JsonValue
@@ -59,7 +68,8 @@ class JsonValue
 
     /**
      * Parse one complete JSON document. Fatal (util::FatalError, with
-     * the byte offset) on malformed input or trailing garbage.
+     * the byte offset) on malformed input, trailing garbage, or
+     * nesting deeper than kMaxJsonDepth.
      */
     static JsonValue parse(std::string_view text);
 

@@ -169,6 +169,9 @@ parseRequest(const std::string &line, Request &req)
         req.steps = asSize(*v, "steps");
         if (req.steps == 0)
             util::fatal("request field 'steps' must be at least 1");
+        if (req.steps > kMaxSteps)
+            util::fatal("request field 'steps' must be at most " +
+                        std::to_string(kMaxSteps));
     }
 }
 

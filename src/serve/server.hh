@@ -86,6 +86,13 @@ inline constexpr const char *kRequestFields[] = {
     "steps",     // evaluate: steady-state cadence over N steps
 };
 
+/**
+ * Largest `steps` an evaluate request may ask for. A steady-state
+ * evaluate replays the step's task list `steps` times, so the cap
+ * bounds per-request work; larger values are rejected in-band.
+ */
+inline constexpr std::size_t kMaxSteps = 100000;
+
 /** Server-wide knobs (from `hyparc serve` flags). */
 struct ServeOptions
 {

@@ -146,8 +146,9 @@ class Evaluator
      * substitution for two-level studies. It also covers
      * SimOptions::overlapGradComm: the async schedule replays as two
      * tapes (serial compute chain + overlapped network chain) over the
-     * same variant tables; only recordTrace still falls back to
-     * per-mask simulation.
+     * same variant tables, and recordTrace emits the per-task trace
+     * from them too. Non-chain (DAG) networks are scored by one
+     * simulate() per mask.
      */
     void sweepNeighborhood(
         const core::HierarchicalPlan &base, std::size_t level,

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/brute_force.hh"
-#include "sim/event_queue.hh"
 #include "util/logging.hh"
 
 namespace hypar::sim {
@@ -31,6 +30,56 @@ addPhaseSeconds(TimeBreakdown &phases, int phase, double seconds)
         phases.gradient += seconds;
         break;
     }
+}
+
+/**
+ * The two-clock resource algebra of a training step — the paper's
+ * event-driven simulation (Section 6.1) in closed form. The serial
+ * clock is the lockstep chain (compute -> exchange -> next layer); the
+ * network clock is the interconnect. Compute advances the serial
+ * clock. An async exchange (overlapped gradient reduction) waits for
+ * its producer (serial) and for the link (network), then advances only
+ * the network clock, so it does not block the chain. A synchronous
+ * exchange waits for both and joins them. Both clocks only move
+ * forward, so the latest task end is drained(). Every simulator entry
+ * point schedules through advance(); tests/support/queue_reference.hh
+ * replays the same tasks through a discrete-event queue as the oracle.
+ */
+struct Tapes
+{
+    double serial = 0.0;  //!< when the lockstep chain may continue
+    double network = 0.0; //!< when the interconnect is idle again
+
+    /** Schedule one task of `seconds`; returns its start. */
+    double
+    advance(double seconds, bool exchange, bool async)
+    {
+        if (!exchange) {
+            const double start = serial;
+            serial = start + seconds;
+            return start;
+        }
+        if (async) {
+            const double start = std::max(network, serial);
+            network = start + seconds;
+            return start;
+        }
+        const double start = std::max(serial, network);
+        serial = start + seconds;
+        network = serial;
+        return start;
+    }
+
+    double drained() const { return std::max(serial, network); }
+};
+
+/** Schedule `tasks` in emission order, calling visit(task, start). */
+template <typename Tasks, typename Visit>
+inline void
+replay(Tasks &tasks, Tapes &tapes, Visit &&visit)
+{
+    for (auto &t : tasks)
+        visit(t, tapes.advance(t.seconds, t.exchange, t.async));
 }
 
 } // namespace
@@ -76,19 +125,19 @@ TrainingSimulator::dpAbove(std::uint32_t state, std::size_t h) const
 }
 
 void
-TrainingSimulator::addExchange(std::vector<Task> &tasks, std::size_t level,
-                               double pair_bytes, bool async, int phase,
-                               const char *tag,
+TrainingSimulator::addExchange(std::vector<TapeTask> &tasks,
+                               std::size_t level, double pair_bytes,
+                               bool async, int phase, const char *tag,
                                const std::string &layer_name,
                                StepMetrics &metrics) const
 {
     if (pair_bytes <= 0.0)
         return;
 
-    Task t;
-    t.kind = Task::Kind::kExchange;
+    TapeTask t;
+    t.tape = async ? TapeTask::Tape::kNetwork : TapeTask::Tape::kSerial;
+    t.exchange = true;
     t.seconds = topo_->exchangeSeconds(level, pair_bytes);
-    t.globalBytes = pair_bytes * std::ldexp(1.0, static_cast<int>(level));
     t.async = async;
     t.phase = phase;
     // Labels only feed the trace; skipping them keeps the hot sweep and
@@ -96,12 +145,15 @@ TrainingSimulator::addExchange(std::vector<Task> &tasks, std::size_t level,
     if (options_.recordTrace)
         t.label = std::string(tag) + ":" + layer_name + "@H" +
                   std::to_string(level + 1);
-    metrics.commBytes += t.globalBytes;
+    // Bytes summed over all group pairs of the level.
+    const double global_bytes =
+        pair_bytes * std::ldexp(1.0, static_cast<int>(level));
+    metrics.commBytes += global_bytes;
 
     // Remote word: DRAM read at the producer, link traversal, DRAM
     // write at the consumer; reductions additionally pay one fp32 add
     // per received word (counted as compute energy).
-    const double words = t.globalBytes / model_->config().wordBytes;
+    const double words = global_bytes / model_->config().wordBytes;
     metrics.energy.commJ +=
         words * 2.0 * energy_.dramWordJ +
         energy_.linkEnergy(words, topo_->exchangeHops(level));
@@ -110,7 +162,7 @@ TrainingSimulator::addExchange(std::vector<Task> &tasks, std::size_t level,
     tasks.push_back(std::move(t));
 }
 
-std::vector<TrainingSimulator::Task>
+std::vector<TapeTask>
 TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
                               StepMetrics &metrics) const
 {
@@ -155,7 +207,7 @@ TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
                       std::ldexp(1.0, -m);
     }
 
-    std::vector<Task> tasks;
+    std::vector<TapeTask> tasks;
 
     // Emit one compute task (PE time overlapped with DRAM streaming).
     auto add_compute = [&](std::size_t l, int phase, double macs,
@@ -166,14 +218,12 @@ TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
         const double pe_sec = mapper_.phaseSeconds(layer, map_batch, macs);
         const double dram_sec = dram_bytes / acc_.dramBandwidth;
 
-        Task t;
-        t.kind = Task::Kind::kCompute;
+        TapeTask t;
         // Slowest-surviving-node derating (1.0 pristine, exact).
         t.seconds = std::max(pe_sec, dram_sec) * options_.computeScale;
         t.phase = phase;
         if (options_.recordTrace)
             t.label = std::string(tag) + ":" + layer.name;
-        metrics.computeBusySeconds += t.seconds;
 
         const arch::Mapping mapping = mapper_.map(layer, map_batch);
         metrics.energy.computeJ +=
@@ -294,7 +344,7 @@ TrainingSimulator::simulateSteadyState(const core::HierarchicalPlan &plan,
         util::fatal("simulateSteadyState: need at least one step");
 
     StepMetrics metrics;
-    std::vector<Task> step_tasks = buildTasks(plan, metrics);
+    const std::vector<TapeTask> tasks = buildTasks(plan, metrics);
 
     // Per-step accounting was accumulated once by buildTasks; scale
     // the totals.
@@ -304,85 +354,35 @@ TrainingSimulator::simulateSteadyState(const core::HierarchicalPlan &plan,
     metrics.energy.sramJ *= steps_d;
     metrics.energy.dramJ *= steps_d;
     metrics.energy.commJ *= steps_d;
-    metrics.computeBusySeconds = 0.0; // re-accumulated by the replay
     trace_.clear();
 
-    // The resource algebra both paths below apply per task: the serial
-    // chain models the lockstep dependence (compute -> exchange -> next
-    // layer); async exchanges contend for the network but do not block
-    // the chain.
-    double serial_free = 0.0;  // when the lockstep chain may continue
-    double network_free = 0.0; // when the interconnect is idle again
-    auto applyTask = [&](const Task &t) {
-        double start = 0.0;
-        if (t.kind == Task::Kind::kCompute) {
-            start = serial_free;
-            serial_free = start + t.seconds;
-            metrics.computeBusySeconds += t.seconds;
-        } else if (t.async) {
-            // Data is ready once the producing compute finished
-            // (serial_free); the network may still be draining.
-            start = std::max(network_free, serial_free);
-            network_free = start + t.seconds;
-        } else {
-            start = std::max(serial_free, network_free);
-            serial_free = start + t.seconds;
-            network_free = serial_free;
-        }
-        const double end = start + t.seconds;
-        addPhaseSeconds(metrics.phases, t.phase, t.seconds);
-        if (t.kind == Task::Kind::kExchange)
-            metrics.networkBusySeconds += t.seconds;
-        if (options_.recordTrace)
-            trace_.push_back(TraceEntry{start, end, t.label});
-        return end;
-    };
-
-    if (steps == 1) {
-        // Single step: play the task list through the event queue (the
-        // historical simulate() path, kept verbatim).
-        EventQueue queue;
-        double sim_end = 0.0;
-        std::size_t next = 0;
-        std::function<void()> dispatch = [&]() {
-            if (next >= step_tasks.size())
-                return;
-            const double end = applyTask(step_tasks[next]);
-            sim_end = std::max(sim_end, end);
-            ++next;
-
-            // Completion of this task releases the next one. Async
-            // exchanges do not hold the serial chain back, so the next
-            // task's logical end may lie before this event's end; clamp
-            // the bookkeeping event into the present (start/end come
-            // from the resource algebra, not from event time).
-            queue.schedule(std::max(end, queue.now()), dispatch);
-        };
-        queue.schedule(0.0, dispatch);
-        queue.run();
-        HYPAR_ASSERT(next == step_tasks.size(), "task list not drained");
-        metrics.stepSeconds = sim_end;
-        return metrics;
-    }
-
-    // Steady state: the queue's dispatch chain is purely sequential
-    // (each task's completion schedules exactly the next task), so
-    // replaying the same algebra over the one-step task list `steps`
-    // times performs the identical operations in the identical order —
-    // bit-identical to the old replicate-then-queue path (pinned by
-    // tests/test_training_sim.cc) with O(1) extra memory instead of a
-    // steps * |tasks| materialized copy.
-    std::vector<double> step_finish(steps, 0.0);
+    // Replaying the one-step task list `steps` times on the same tapes
+    // is the back-to-back schedule; a step is complete once its chain
+    // and any async stragglers have drained. Only the first and the
+    // last step boundary are needed, so memory does not grow with
+    // `steps`.
+    Tapes tapes;
+    double first_finish = 0.0;
+    const bool tracing = options_.recordTrace;
     for (std::size_t s = 0; s < steps; ++s) {
-        for (const Task &t : step_tasks)
-            (void)applyTask(t);
-        // A step is complete once both its chain and any async
-        // stragglers scheduled so far have drained.
-        step_finish[s] = std::max(serial_free, network_free);
+        replay(tasks, tapes, [&](const TapeTask &t, double start) {
+            addPhaseSeconds(metrics.phases, t.phase, t.seconds);
+            if (t.exchange)
+                metrics.networkBusySeconds += t.seconds;
+            else
+                metrics.computeBusySeconds += t.seconds;
+            if (tracing)
+                trace_.push_back(
+                    TraceEntry{start, start + t.seconds, t.label});
+        });
+        if (s == 0)
+            first_finish = tapes.drained();
     }
-    // Spacing of the step boundaries after warm-up.
+    // One step: its latency. Several: the spacing of the step
+    // boundaries after warm-up.
     metrics.stepSeconds =
-        (step_finish[steps - 1] - step_finish[0]) / (steps_d - 1.0);
+        steps == 1 ? first_finish
+                   : (tapes.drained() - first_finish) / (steps_d - 1.0);
     return metrics;
 }
 
@@ -390,68 +390,42 @@ TapeSchedule
 TrainingSimulator::overlapSchedule(const core::HierarchicalPlan &plan) const
 {
     StepMetrics scratch;
-    const std::vector<Task> tasks = buildTasks(plan, scratch);
-
-    // Replay the exact resource algebra of simulateSteadyState's
-    // dispatch: compute advances the serial tape, an async exchange
-    // advances the network tape from max(network, serial), and a
-    // synchronous exchange advances the serial tape from the later of
-    // the two and joins the network tape to it.
     TapeSchedule sched;
-    sched.tasks.reserve(tasks.size());
-    double serial = 0.0;
-    double network = 0.0;
-    double sim_end = 0.0;
-    for (const Task &t : tasks) {
-        TapeTask e;
-        e.exchange = t.kind == Task::Kind::kExchange;
-        e.async = t.async;
-        e.phase = t.phase;
-        e.seconds = t.seconds;
-        e.label = t.label;
-        if (!e.exchange) {
-            e.tape = TapeTask::Tape::kSerial;
-            e.start = serial;
-            serial += t.seconds;
-        } else if (t.async) {
-            e.tape = TapeTask::Tape::kNetwork;
-            e.start = std::max(network, serial);
-            network = e.start + t.seconds;
-        } else {
-            e.tape = TapeTask::Tape::kSerial;
-            e.start = std::max(serial, network);
-            serial = e.start + t.seconds;
-            network = serial;
-        }
-        e.end = e.start + t.seconds;
-        sim_end = std::max(sim_end, e.end);
-        sched.tasks.push_back(std::move(e));
-    }
-    sched.serialEnd = serial;
-    sched.networkEnd = network;
-    sched.stepSeconds = sim_end;
+    sched.tasks = buildTasks(plan, scratch);
+    Tapes tapes;
+    replay(sched.tasks, tapes, [](TapeTask &t, double start) {
+        t.start = start;
+        t.end = start + t.seconds;
+    });
+    sched.serialEnd = tapes.serial;
+    sched.networkEnd = tapes.network;
+    sched.stepSeconds = tapes.drained();
     return sched;
 }
 
 namespace {
 
-/** Precomputed contributions of one compute task under one flip bit. */
-struct ComputeContrib
+/** Precomputed contributions of one task slot under one variant. */
+struct Contrib
 {
+    bool present = false; //!< emitted (addExchange skips zero bytes)
     double seconds = 0.0;
-    double computeJ = 0.0;
+    double computeJ = 0.0; //!< MACs, or an exchange's reduction adds
     double sramJ = 0.0;
     double dramJ = 0.0;
+    double commJ = 0.0; //!< remote DRAM + link energy
+    double globalBytes = 0.0;
 };
 
-/** Precomputed contributions of one exchange slot under one variant. */
-struct ExchangeContrib
+/** One task of the swept step, in emission order. */
+struct SweepSlot
 {
-    bool present = false; //!< addExchange skips zero-byte exchanges
-    double seconds = 0.0;
-    double globalBytes = 0.0;
-    double commJ = 0.0; //!< remote DRAM + link energy
-    double addJ = 0.0;  //!< reduction adds, booked as compute energy
+    const Contrib *variants = nullptr; //!< 2, or 4 for an inter exchange
+    unsigned layer = 0; //!< variant = (mask >> layer) & bits
+    unsigned bits = 1;  //!< 1, or 3 for an inter exchange
+    bool exchange = false;
+    bool async = false;
+    int phase = 0;
 };
 
 } // namespace
@@ -546,7 +520,7 @@ TrainingSimulator::sweepNeighborhood(
     };
 
     auto make_exchange = [&](std::size_t h, double pair_bytes) {
-        ExchangeContrib c;
+        Contrib c;
         if (pair_bytes <= 0.0)
             return c;
         c.present = true;
@@ -556,20 +530,21 @@ TrainingSimulator::sweepNeighborhood(
         const double words = c.globalBytes / comm.wordBytes;
         c.commJ = words * 2.0 * energy_.dramWordJ +
                   energy_.linkEnergy(words, topo_->exchangeHops(h));
-        c.addJ = words * energy_.addJ;
+        c.computeJ = words * energy_.addJ;
         return c;
     };
 
     // comp[(3*l + phase) * 2 + b]; bwd entries of layer 0 stay unused.
-    std::vector<ComputeContrib> comp(num_layers * 3 * 2);
-    // intra slots: [(l * levels + h) * 2 + b]
-    std::vector<ExchangeContrib> psum(num_layers * levels * 2);
-    std::vector<ExchangeContrib> gradx(num_layers * levels * 2);
+    std::vector<Contrib> comp(num_layers * 3 * 2);
+    // intra slots: [(l * levels + h) * 2 + b]. A psum (gradx) slot
+    // stays absent unless the choice there is mp (dp).
+    std::vector<Contrib> psum(num_layers * levels * 2);
+    std::vector<Contrib> gradx(num_layers * levels * 2);
     // inter slots of transition l -> l+1: [(l * levels + h) * 4 +
-    // (2*b_l + b_next)]
+    // (b_l + 2*b_next)], so (mask >> l) & 3 selects the variant
     const std::size_t transitions = num_layers > 0 ? num_layers - 1 : 0;
-    std::vector<ExchangeContrib> featx(transitions * levels * 4);
-    std::vector<ExchangeContrib> errx(transitions * levels * 4);
+    std::vector<Contrib> featx(transitions * levels * 4);
+    std::vector<Contrib> errx(transitions * levels * 4);
 
     for (std::size_t l = 0; l < num_layers; ++l) {
         const dnn::Layer &layer = net.layer(l);
@@ -611,7 +586,8 @@ TrainingSimulator::sweepNeighborhood(
                  3.0 * weight_shard) * comm.wordBytes,
             };
             for (int phase = 0; phase < 3; ++phase) {
-                ComputeContrib &c = comp[(3 * l + phase) * 2 + b];
+                Contrib &c = comp[(3 * l + phase) * 2 + b];
+                c.present = true;
                 const double dram_sec =
                     dram_bytes[phase] / acc_.dramBandwidth;
                 c.seconds =
@@ -643,7 +619,7 @@ TrainingSimulator::sweepNeighborhood(
                 for (int bn = 0; bn < 2; ++bn) {
                     const std::size_t slot =
                         (l * levels + h) * 4 +
-                        static_cast<std::size_t>(2 * bl + bn);
+                        static_cast<std::size_t>(bl + 2 * bn);
                     featx[slot] = make_exchange(
                         h, model_->interBytesFAt(
                                l, choice(h, l, bl),
@@ -659,184 +635,96 @@ TrainingSimulator::sweepNeighborhood(
         }
     }
 
-    // ---- trace labels -------------------------------------------------
+    // ---- slot program -------------------------------------------------
     //
-    // A task's label is a function of its slot alone — tag, layer name,
-    // hierarchy level — never of the swept mask, so one string per slot
-    // serves every visited plan and the trace can be emitted straight
-    // from the variant tables (this was the last remaining per-mask
-    // simulate() fallback). Built only under recordTrace; the hot
-    // non-trace sweep stays allocation-free.
+    // The step's task slots in buildTasks' emission order, each pointing
+    // at its variants. A slot whose variants are all absent (an intra
+    // exchange the base plan's choice never emits) is dropped. Labels
+    // are slot functions, never of the mask, so under recordTrace one
+    // string per slot serves every visited plan.
     const bool tracing = options_.recordTrace;
-    std::vector<std::string> comp_label, psum_label, gradx_label,
-        featx_label, errx_label;
-    if (tracing) {
-        comp_label.resize(num_layers * 3);
-        psum_label.resize(num_layers * levels);
-        gradx_label.resize(num_layers * levels);
-        featx_label.resize(transitions * levels);
-        errx_label.resize(transitions * levels);
-        for (std::size_t l = 0; l < num_layers; ++l) {
-            const std::string &name = net.layer(l).name;
-            comp_label[3 * l + kFwd] = "fwd:" + name;
-            comp_label[3 * l + kBwd] = "bwd:" + name;
-            comp_label[3 * l + kGrad] = "grad:" + name;
-            for (std::size_t h = 0; h < levels; ++h) {
-                const std::string at = "@H" + std::to_string(h + 1);
-                psum_label[l * levels + h] = "psum:" + name + at;
-                gradx_label[l * levels + h] = "gradx:" + name + at;
-            }
-        }
-        for (std::size_t l = 0; l + 1 < num_layers; ++l) {
-            for (std::size_t h = 0; h < levels; ++h) {
-                const std::string at = "@H" + std::to_string(h + 1);
-                // featx of transition l -> l+1 is emitted while walking
-                // layer l forward; errx while walking layer l+1
-                // backward — each labeled with the emitting layer.
-                featx_label[l * levels + h] =
-                    "featx:" + net.layer(l).name + at;
-                errx_label[l * levels + h] =
-                    "errx:" + net.layer(l + 1).name + at;
-            }
+    std::vector<SweepSlot> slots;
+    slots.reserve(num_layers * (3 + 4 * levels)); // upper bound
+    std::vector<std::string> labels;
+    auto add = [&](const Contrib *variants, std::size_t layer, bool pair,
+                   bool exchange, bool async, int phase, const char *tag,
+                   const std::string &name, std::size_t h) {
+        if (!std::any_of(variants, variants + (pair ? 4 : 2),
+                         [](const Contrib &c) { return c.present; }))
+            return;
+        slots.push_back({variants, static_cast<unsigned>(layer),
+                         pair ? 3u : 1u, exchange, async, phase});
+        if (tracing)
+            labels.push_back(std::string(tag) + ":" + name +
+                             (exchange ? "@H" + std::to_string(h + 1)
+                                       : std::string()));
+    };
+    const bool overlap = options_.overlapGradComm;
+    for (std::size_t l = 0; l < num_layers; ++l) {
+        const std::string &name = net.layer(l).name;
+        add(&comp[(3 * l + kFwd) * 2], l, false, false, false, kFwd, "fwd",
+            name, 0);
+        for (std::size_t h = 0; h < levels; ++h) {
+            add(&psum[(l * levels + h) * 2], l, false, true, false, kFwd,
+                "psum", name, h);
+            if (l + 1 < num_layers)
+                add(&featx[(l * levels + h) * 4], l, true, true, false,
+                    kFwd, "featx", name, h);
         }
     }
-    // nullptr when not tracing, so the replay below can branch once.
-    auto slot_label = [&](const std::vector<std::string> &labels,
-                          std::size_t slot) {
-        return tracing ? &labels[slot] : nullptr;
-    };
+    for (std::size_t l = num_layers; l-- > 1;) {
+        const std::string &name = net.layer(l).name;
+        add(&comp[(3 * l + kBwd) * 2], l, false, false, false, kBwd, "bwd",
+            name, 0);
+        for (std::size_t h = 0; h < levels; ++h)
+            add(&errx[((l - 1) * levels + h) * 4], l - 1, true, true, false,
+                kBwd, "errx", name, h);
+    }
+    for (std::size_t l = 0; l < num_layers; ++l) {
+        const std::string &name = net.layer(l).name;
+        add(&comp[(3 * l + kGrad) * 2], l, false, false, false, kGrad,
+            "grad", name, 0);
+        for (std::size_t h = 0; h < levels; ++h)
+            add(&gradx[(l * levels + h) * 2], l, false, true, overlap, kGrad,
+                "gradx", name, h);
+    }
 
     // ---- per-mask replay ----------------------------------------------
     //
-    // One walk over the task slots in buildTasks' emission order (which
-    // is also the event-queue dispatch order), updating every StepMetrics
-    // accumulator with the same additions the real path performs. The
-    // chain algebra rides two tapes: compute and synchronous exchanges
-    // advance `serial` (a plain left-to-right sum — on the paper path
-    // that alone is stepSeconds), while under overlapGradComm the
-    // gradient reductions advance `network` from max(network, serial),
-    // exactly the event queue's async rule; a synchronous exchange
-    // joins the network tape back to the serial one. Flipping one
-    // layer's bit re-selects only that layer's few variant slots — the
-    // tape segments the flip actually touches — and the replay's
-    // accumulation order never changes, so every mask's StepMetrics is
-    // bit-identical to a full simulate() in both modes.
-    const bool overlap = options_.overlapGradComm;
+    // Each mask selects one variant per slot and replays the slots with
+    // the same StepMetrics additions the task-list path performs,
+    // scheduled through the same Tapes::advance. The accumulation order
+    // never changes, so every mask's StepMetrics (and trace) is
+    // bit-identical to a full simulate() with and without
+    // overlapGradComm.
     for (std::uint64_t mask = 0; mask < num_masks; ++mask) {
         StepMetrics m;
-        double serial = 0.0;
-        double network = 0.0;
+        Tapes tapes;
         if (tracing)
             trace_.clear();
-        const auto bit = [&](std::size_t l) {
-            return static_cast<int>((mask >> l) & 1);
-        };
-
-        auto tally_compute = [&](std::size_t l, int phase,
-                                 double &phase_acc) {
-            const ComputeContrib &c =
-                comp[(3 * l + phase) * 2 + bit(l)];
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            const SweepSlot &s = slots[i];
+            const Contrib &c = s.variants[(mask >> s.layer) & s.bits];
+            if (!c.present)
+                continue;
             m.energy.computeJ += c.computeJ;
-            m.energy.sramJ += c.sramJ;
-            m.energy.dramJ += c.dramJ;
-            const double start = serial;
-            serial += c.seconds;
-            m.computeBusySeconds += c.seconds;
-            phase_acc += c.seconds;
+            if (s.exchange) {
+                m.commBytes += c.globalBytes;
+                m.energy.commJ += c.commJ;
+                m.networkBusySeconds += c.seconds;
+            } else {
+                m.energy.sramJ += c.sramJ;
+                m.energy.dramJ += c.dramJ;
+                m.computeBusySeconds += c.seconds;
+            }
+            addPhaseSeconds(m.phases, s.phase, c.seconds);
+            const double start =
+                tapes.advance(c.seconds, s.exchange, s.async);
             if (tracing)
-                trace_.push_back(TraceEntry{
-                    start, serial,
-                    comp_label[3 * l + static_cast<std::size_t>(phase)]});
-        };
-        auto tally_exchange = [&](const ExchangeContrib &c,
-                                  double &phase_acc,
-                                  const std::string *label) {
-            if (!c.present)
-                return;
-            m.commBytes += c.globalBytes;
-            m.energy.commJ += c.commJ;
-            m.energy.computeJ += c.addJ;
-            // The event queue's synchronous rule verbatim. In the
-            // emitted task order network never leads serial here (all
-            // async tasks sit in the final phase), so the max is the
-            // identity and the sum stays bit-identical to the
-            // non-overlap serial chain.
-            const double start = std::max(serial, network);
-            serial = start + c.seconds;
-            network = serial;
-            m.networkBusySeconds += c.seconds;
-            phase_acc += c.seconds;
-            if (label != nullptr)
-                trace_.push_back(TraceEntry{start, serial, *label});
-        };
-        // Overlapped gradient reduction: network-tape task.
-        auto tally_async_exchange = [&](const ExchangeContrib &c,
-                                        double &phase_acc,
-                                        const std::string *label) {
-            if (!c.present)
-                return;
-            m.commBytes += c.globalBytes;
-            m.energy.commJ += c.commJ;
-            m.energy.computeJ += c.addJ;
-            const double start = std::max(network, serial);
-            network = start + c.seconds;
-            m.networkBusySeconds += c.seconds;
-            phase_acc += c.seconds;
-            if (label != nullptr)
-                trace_.push_back(TraceEntry{start, network, *label});
-        };
-
-        // forward
-        for (std::size_t l = 0; l < num_layers; ++l) {
-            tally_compute(l, kFwd, m.phases.forward);
-            for (std::size_t h = 0; h < levels; ++h) {
-                if (choice(h, l, bit(l)) == core::Parallelism::kModel)
-                    tally_exchange(psum[(l * levels + h) * 2 + bit(l)],
-                                   m.phases.forward,
-                                   slot_label(psum_label,
-                                              l * levels + h));
-                if (l + 1 < num_layers)
-                    tally_exchange(
-                        featx[(l * levels + h) * 4 +
-                              static_cast<std::size_t>(
-                                  2 * bit(l) + bit(l + 1))],
-                        m.phases.forward,
-                        slot_label(featx_label, l * levels + h));
-            }
+                trace_.push_back(
+                    TraceEntry{start, start + c.seconds, labels[i]});
         }
-        // error backward
-        for (std::size_t l = num_layers; l-- > 1;) {
-            tally_compute(l, kBwd, m.phases.backward);
-            for (std::size_t h = 0; h < levels; ++h)
-                tally_exchange(
-                    errx[((l - 1) * levels + h) * 4 +
-                         static_cast<std::size_t>(
-                             2 * bit(l - 1) + bit(l))],
-                    m.phases.backward,
-                    slot_label(errx_label, (l - 1) * levels + h));
-        }
-        // gradient
-        for (std::size_t l = 0; l < num_layers; ++l) {
-            tally_compute(l, kGrad, m.phases.gradient);
-            for (std::size_t h = 0; h < levels; ++h) {
-                if (choice(h, l, bit(l)) == core::Parallelism::kData) {
-                    const ExchangeContrib &c =
-                        gradx[(l * levels + h) * 2 + bit(l)];
-                    const std::string *label =
-                        slot_label(gradx_label, l * levels + h);
-                    if (overlap)
-                        tally_async_exchange(c, m.phases.gradient,
-                                             label);
-                    else
-                        tally_exchange(c, m.phases.gradient, label);
-                }
-            }
-        }
-
-        // Both tapes are monotone, so the step ends when the later one
-        // drains (without overlap network never exceeds serial and
-        // this is the plain serial sum).
-        m.stepSeconds = std::max(serial, network);
+        m.stepSeconds = tapes.drained();
         visit(mask, m);
     }
 }

@@ -10,7 +10,7 @@
  * per-layer compute is symmetric and the simulator tracks one
  * representative accelerator plus the hierarchical tensor exchanges.
  *
- * A step is a task list played through the discrete-event queue:
+ * A step is a task list, scheduled in emission order:
  *
  *   forward   l = 0..L-1: compute; mp partial-sum reductions (intra);
  *                         dp-mp boundary feature transfers (inter-F)
@@ -22,6 +22,16 @@
  * SimOptions::overlapGradComm the gradient reductions run asynchronously
  * on the network while later layers keep computing (the classic
  * all-reduce overlap; off by default to match the paper).
+ *
+ * The event-driven schedule has a closed form: two resource clocks
+ * (serial chain, network), advanced task by task — async exchanges
+ * start at max(network, serial), synchronous exchanges join the two.
+ * training_sim.cc writes that algebra once (its private Tapes) and
+ * every entry point here — simulate, simulateSteadyState,
+ * overlapSchedule, sweepNeighborhood — schedules through it. The
+ * discrete-event queue that resolves the same schedule event by event
+ * lives in tests/support/ as the oracle that pins the closed form
+ * (tests/test_queue_oracle.cc).
  */
 
 #ifndef HYPAR_SIM_TRAINING_SIM_HH
@@ -73,14 +83,14 @@ struct TraceEntry
 };
 
 /**
- * One resolved task of the two-tape schedule decomposition
- * (TrainingSimulator::overlapSchedule): which tape it advanced, by how
- * much, and the start/end the event queue's resource algebra assigns
- * it. Compute tasks and synchronous exchanges ride the *serial* tape
- * (the lockstep chain); asynchronous gradient reductions ride the
- * *network* tape. A synchronous exchange additionally joins the two
- * tapes (it occupies the interconnect, so the network tape is busy
- * until it completes).
+ * One task of a training step: the simulator's task list is built as
+ * TapeTasks and scheduled through the two-clock algebra. It records
+ * which tape the task advances, by how much, and (once resolved by
+ * TrainingSimulator::overlapSchedule) its start/end. Compute tasks and
+ * synchronous exchanges ride the *serial* tape (the lockstep chain);
+ * asynchronous gradient reductions ride the *network* tape. A
+ * synchronous exchange additionally joins the two tapes (it occupies
+ * the interconnect, so the network tape is busy until it completes).
  */
 struct TapeTask
 {
@@ -98,9 +108,11 @@ struct TapeTask
 /**
  * The two-tape decomposition of one training step: the serial compute
  * chain and the overlapped network chain, with every task's resolved
- * start/end. `stepSeconds` is the maximum task end and equals
- * simulate()'s stepSeconds exactly (tests/test_overlap_schedule.cc
- * pins the decomposition against the event queue).
+ * start/end. `stepSeconds` is when the later tape drains (the maximum
+ * task end) and equals simulate()'s stepSeconds exactly. The
+ * queue-driven oracle in tests/support/queue_reference.hh replays
+ * these tasks event by event (tests/test_queue_oracle.cc,
+ * tests/test_overlap_schedule.cc).
  */
 struct TapeSchedule
 {
@@ -143,12 +155,12 @@ class TrainingSimulator
      * the weight-update dependency.
      *
      * Cost: the per-step task list is built once (reusing the
-     * prefix-count table like every other entry point) and the
-     * multi-step cadence is a replay of the dispatch resource algebra
-     * over that single list — `steps` never multiplies memory, so
-     * long-horizon cadences are cheap. Bit-identical to the old
-     * replicate-the-task-list implementation (pinned by
-     * tests/test_training_sim.cc).
+     * prefix-count table like every other entry point) and replayed
+     * `steps` times on the same two tapes; only the first and last
+     * step boundaries are kept, so memory is O(1) in `steps` (the
+     * trace, under recordTrace, holds every replayed task). Exactly
+     * equal to replicating the task list `steps` times and playing it
+     * through the event queue (tests/test_queue_oracle.cc).
      */
     StepMetrics simulateSteadyState(const core::HierarchicalPlan &plan,
                                     std::size_t steps) const;
@@ -166,18 +178,15 @@ class TrainingSimulator
      * bit-identical to a full simulate() of the substituted plan
      * (enforced by tests/test_evaluator_batch.cc).
      *
-     * Under SimOptions::overlapGradComm the same variant tables feed a
-     * *two-tape* replay: the serial compute chain and the overlapped
-     * network chain are accumulated side by side with the event
-     * queue's exact resource algebra (async reductions start at
-     * max(network, serial), synchronous exchanges join the tapes), so
-     * the async schedule is swept incrementally too — still
-     * bit-identical to per-mask simulate(). Under recordTrace the
-     * replay also emits the per-task trace from the variant tables
-     * (labels are slot functions, start/end come from the tapes), so
-     * lastTrace() after each visit — and after the sweep — matches a
-     * direct simulate() of that mask's plan exactly; no path falls
-     * back to per-mask simulation anymore.
+     * Each mask schedules the selected variants through the same
+     * two-clock algebra as simulate(), so under
+     * SimOptions::overlapGradComm the async schedule is swept
+     * incrementally too — still bit-identical to per-mask simulate().
+     * Under recordTrace the replay also emits the per-task trace from
+     * the variant tables (labels are slot functions, start/end come
+     * from the tapes), so lastTrace() after each visit — and after the
+     * sweep — matches a direct simulate() of that mask's plan exactly.
+     * Non-chain (DAG) networks are scored by one simulate() per mask.
      * Fatal when `level` is out of range or the network has more than
      * 24 weighted layers (2^L enumeration).
      */
@@ -188,13 +197,12 @@ class TrainingSimulator
 
     /**
      * The two-tape chain decomposition of one step of `plan` under the
-     * current SimOptions: every task with its tape and resolved
-     * start/end, replayed through the exact resource algebra the event
-     * queue applies (without overlapGradComm the network tape carries
-     * no tasks of its own and the schedule degenerates to the serial
-     * chain). This is the structure the incremental overlap sweep
-     * replays; exposed so tests can pin it against the event-driven
-     * simulator. Labels are filled only under recordTrace.
+     * current SimOptions: the task list simulate() schedules, each task
+     * with its tape and resolved start/end (without overlapGradComm the
+     * network tape carries no tasks of its own and the schedule
+     * degenerates to the serial chain). Exposed so tests can replay it
+     * through the queue-driven oracle in tests/support/. Labels are
+     * filled only under recordTrace.
      */
     TapeSchedule overlapSchedule(const core::HierarchicalPlan &plan) const;
 
@@ -214,19 +222,10 @@ class TrainingSimulator
     }
 
   private:
-    struct Task
-    {
-        enum class Kind { kCompute, kExchange };
-        Kind kind = Kind::kCompute;
-        double seconds = 0.0;
-        double globalBytes = 0.0; //!< bytes summed over all group pairs
-        bool async = false;       //!< may overlap with later compute
-        int phase = 0;            //!< 0 fwd, 1 bwd, 2 grad
-        std::string label;        //!< built only under recordTrace
-    };
-
-    std::vector<Task> buildTasks(const core::HierarchicalPlan &plan,
-                                 StepMetrics &metrics) const;
+    /** One step's tasks in emission order (start/end unresolved); adds
+     *  the step's commBytes and energy to `metrics`. */
+    std::vector<TapeTask> buildTasks(const core::HierarchicalPlan &plan,
+                                     StepMetrics &metrics) const;
 
     /**
      * dp count among the levels above `h` for a layer whose level
@@ -238,7 +237,7 @@ class TrainingSimulator
      */
     unsigned dpAbove(std::uint32_t state, std::size_t h) const;
 
-    void addExchange(std::vector<Task> &tasks, std::size_t level,
+    void addExchange(std::vector<TapeTask> &tasks, std::size_t level,
                      double pair_bytes, bool async, int phase,
                      const char *tag, const std::string &layer_name,
                      StepMetrics &metrics) const;

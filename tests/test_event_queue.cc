@@ -1,18 +1,20 @@
 /**
  * @file
- * Tests for the discrete-event queue: ordering, tie-breaking, nested
+ * Tests for the discrete-event queue behind the queue-driven oracle
+ * (tests/support/event_queue.hh): ordering, tie-breaking, nested
  * scheduling, and misuse detection.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
-#include "sim/event_queue.hh"
+#include "support/event_queue.hh"
 #include "util/logging.hh"
 
 using namespace hypar;
-using sim::EventQueue;
+using tests::EventQueue;
 
 TEST(EventQueue, ProcessesInTimeOrder)
 {

@@ -4,9 +4,9 @@
  * gradient-communication schedule (TrainingSimulator::overlapSchedule
  * and the overlap branch of sweepNeighborhood): on hand-computable
  * 2-3 layer networks the serial/network chain split must reproduce the
- * event-driven simulator exactly — same task times, same step latency —
- * and the recordTrace interaction (the one remaining sweep fallback)
- * must stay consistent.
+ * queue-driven reference (tests/support/queue_reference.hh) exactly —
+ * same task times, same step latency — and tracing sweeps must emit
+ * the same per-task trace as a direct simulate().
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "dnn/model_zoo.hh"
 #include "noc/htree.hh"
 #include "sim/training_sim.hh"
+#include "support/queue_reference.hh"
 
 using namespace hypar;
 using core::CommConfig;
@@ -69,7 +70,7 @@ threeLayerNet()
 
 // The two-tape schedule must reproduce the event queue exactly: with
 // recordTrace on, every resolved (start, end, label) of the schedule
-// equals the trace the event-driven simulate() emits, and the tape
+// equals the trace the queue-driven reference resolves, and the tape
 // ends bound the step.
 TEST(OverlapSchedule, MatchesEventQueueTraceTaskByTask)
 {
@@ -85,8 +86,10 @@ TEST(OverlapSchedule, MatchesEventQueueTraceTaskByTask)
                        {Parallelism::kData, Parallelism::kData,
                         Parallelism::kModel}};
 
-        const auto metrics = rig.simulator.simulate(plan);
-        const auto &trace = rig.simulator.lastTrace();
+        const tests::QueueRun ref =
+            tests::queueSimulate(rig.simulator, plan);
+        const auto &metrics = ref.metrics;
+        const auto &trace = ref.trace;
         const TapeSchedule sched = rig.simulator.overlapSchedule(plan);
 
         ASSERT_EQ(sched.tasks.size(), trace.size());

@@ -196,6 +196,31 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(serve::JsonValue::parse("[1,2"), util::FatalError);
 }
 
+TEST(Json, NestingDepthIsCapped)
+{
+    const auto nesting_error = [](const std::string &text) {
+        try {
+            (void)serve::JsonValue::parse(text);
+        } catch (const util::FatalError &e) {
+            return std::string(e.what()).find("nesting") !=
+                   std::string::npos;
+        }
+        return false;
+    };
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(serve::JsonValue::parse(nested(serve::kMaxJsonDepth)));
+    EXPECT_TRUE(nesting_error(nested(serve::kMaxJsonDepth + 1)));
+    // Objects count toward the same depth as arrays, and the cap trips
+    // before the parser ever reaches the (missing) closing brackets.
+    std::string mixed;
+    for (std::size_t d = 0; d <= serve::kMaxJsonDepth; ++d)
+        mixed += d % 2 ? "[" : "{\"k\":";
+    EXPECT_TRUE(nesting_error(mixed));
+    EXPECT_FALSE(nesting_error(std::string(serve::kMaxJsonDepth, '[')));
+}
+
 TEST(Json, TypedAccessorsFatalOnKindMismatch)
 {
     const serve::JsonValue v = serve::JsonValue::parse("[1]");
@@ -914,6 +939,60 @@ TEST(Server, MalformedRequestsAnswerInBand)
         EXPECT_NE(v.find("error"), nullptr) << line;
     }
     EXPECT_EQ(server.stats().errors, responses.size());
+}
+
+// A hostile line of 200 000 '[' used to overflow the recursive-descent
+// parser's stack and kill the process. It must answer one in-band
+// error line, and the request after it must still be served.
+TEST(Server, DeeplyNestedJsonAnswersInBandAndKeepsServing)
+{
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    std::istringstream in(std::string(200000, '[') + "\n" +
+                          R"({"op":"stats"})" "\n");
+    std::ostringstream out;
+    EXPECT_EQ(server.run(in, out), 0);
+
+    std::vector<std::string> responses;
+    std::istringstream lines(out.str());
+    std::string line;
+    while (std::getline(lines, line))
+        responses.push_back(line);
+    ASSERT_EQ(responses.size(), 2u);
+    const serve::JsonValue deep = serve::JsonValue::parse(responses[0]);
+    EXPECT_FALSE(deep.find("ok")->asBool());
+    EXPECT_NE(deep.find("error")->asString().find("nesting"),
+              std::string::npos)
+        << responses[0];
+    const serve::JsonValue stats = serve::JsonValue::parse(responses[1]);
+    EXPECT_TRUE(stats.find("ok")->asBool()) << responses[1];
+    EXPECT_EQ(stats.find("server")->find("errors")->asNumber(), 1.0);
+}
+
+TEST(Server, StepsAreCapped)
+{
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    const std::string evaluate =
+        R"({"op":"evaluate","model":"Lenet-c","steps":)";
+    const std::vector<std::string> responses = runBatch(
+        server, {evaluate + std::to_string(serve::kMaxSteps) + "}",
+                 evaluate + std::to_string(serve::kMaxSteps + 1) + "}"});
+    ASSERT_EQ(responses.size(), 2u);
+    const serve::JsonValue at_cap = serve::JsonValue::parse(responses[0]);
+    EXPECT_TRUE(at_cap.find("ok")->asBool()) << responses[0];
+    EXPECT_EQ(at_cap.find("steps")->asNumber(),
+              static_cast<double>(serve::kMaxSteps));
+    const serve::JsonValue over = serve::JsonValue::parse(responses[1]);
+    EXPECT_FALSE(over.find("ok")->asBool());
+    EXPECT_NE(over.find("error")->asString().find("at most"),
+              std::string::npos)
+        << responses[1];
+    EXPECT_EQ(server.stats().errors, 1u);
 }
 
 TEST(Server, ErrorResponsesEchoTheOpWhenItParsed)

@@ -259,8 +259,7 @@ TEST(TrainingSim, SteadyStateTotalsScaleExactly)
     EXPECT_DOUBLE_EQ(steady.energy.dramJ, 7.0 * one.energy.dramJ);
     EXPECT_DOUBLE_EQ(steady.energy.commJ, 7.0 * one.energy.commJ);
 
-    // steps == 1 stays the verbatim event-queue path: field-for-field
-    // identical to simulate().
+    // steps == 1 is simulate(): field-for-field identical.
     const auto single = rig.simulator.simulateSteadyState(plan, 1);
     EXPECT_EQ(single, one);
 }
