@@ -1,7 +1,8 @@
 #include "serve/canonical.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <string_view>
 
 #include "dnn/spec_parser.hh"
 #include "serve/sha256.hh"
@@ -11,8 +12,23 @@ namespace hypar::serve {
 
 namespace {
 
+/** Longest "%.17g" rendering: sign, 17 digits, point, "e-308". */
+constexpr std::size_t kMaxDoubleChars = 32;
+
+/** Append the canonical rendering of `value` to `out`. */
 void
-appendKV(std::string &out, const char *key, const std::string &value)
+appendDouble(std::string &out, double value)
+{
+    char buf[kMaxDoubleChars];
+    // General format at precision 17 is defined as printf's %.17g,
+    // digit for digit (C++17 [charconv.to.chars]).
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+}
+
+void
+appendKV(std::string &out, const char *key, std::string_view value)
 {
     out += key;
     out += '=';
@@ -23,7 +39,10 @@ appendKV(std::string &out, const char *key, const std::string &value)
 void
 appendKV(std::string &out, const char *key, double value)
 {
-    appendKV(out, key, canonicalDouble(value));
+    out += key;
+    out += '=';
+    appendDouble(out, value);
+    out += '\n';
 }
 
 void
@@ -48,10 +67,35 @@ appendFaults(std::string &out, const char *key,
     for (const arch::FaultEntry &e : entries) {
         out += std::to_string(e.id);
         out += ':';
-        out += canonicalDouble(e.scale);
+        appendDouble(out, e.scale);
         out += ';';
     }
     out += '\n';
+}
+
+/** The `[plan]` section canonicalPlanRequest appends to the context. */
+std::string
+planSuffix(const std::string &strategy, const core::SearchOptions &search)
+{
+    std::string out = "[plan]\n";
+    appendKV(out, "strategy", strategy);
+    appendKV(out, "engine", searchEngineName(search.engine));
+    appendKV(out, "beam_width", search.beamWidth);
+    appendKV(out, "adaptive_beam", search.adaptiveBeam ? "1" : "0");
+    // SearchOptions::beamWidthStart (the request's width_hint) is
+    // deliberately NOT keyed: the warm start only skips the adaptive
+    // beam's ramp, the plan and cost are bit-identical with or without
+    // it — keying it forked duplicate cache entries per hint value.
+    return out;
+}
+
+/** The `[sweep]` section canonicalSweepRequest appends to the plan. */
+std::string
+sweepSuffix(std::size_t level)
+{
+    std::string out = "[sweep]\n";
+    appendKV(out, "level", level);
+    return out;
 }
 
 } // namespace
@@ -59,9 +103,9 @@ appendFaults(std::string &out, const char *key,
 std::string
 canonicalDouble(double value)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
+    std::string out;
+    appendDouble(out, value);
+    return out;
 }
 
 const char *
@@ -118,8 +162,8 @@ canonicalContext(const dnn::Network &network, const sim::SimConfig &config)
     appendKV(out, "exchange_factor", config.comm.exchangeFactor);
     appendKV(out, "scaling",
              config.comm.scaling == core::CommConfig::Scaling::kPartitioned
-                 ? std::string("partitioned")
-                 : std::string("none"));
+                 ? "partitioned"
+                 : "none");
     // CommConfig::levelPenalties is derived state (the Evaluator
     // rebuilds it from topology + faults), so it is deliberately NOT
     // part of the key: the faults section below is the source of truth.
@@ -145,12 +189,12 @@ canonicalContext(const dnn::Network &network, const sim::SimConfig &config)
     appendKV(out, "per_hop_latency", config.noc.perHopLatency);
 
     out += "[topology]\n";
-    appendKV(out, "kind", std::string(topologyKindName(config.topology)));
+    appendKV(out, "kind", topologyKindName(config.topology));
     appendKV(out, "levels", config.levels);
 
     out += "[options]\n";
     appendKV(out, "overlap_grad_comm",
-             std::string(config.options.overlapGradComm ? "1" : "0"));
+             config.options.overlapGradComm ? "1" : "0");
     appendKV(out, "compute_scale", config.options.computeScale);
     // SimOptions::recordTrace is excluded by design (observability
     // only; never changes computed metrics or plans).
@@ -168,18 +212,7 @@ canonicalPlanRequest(const dnn::Network &network,
                      const std::string &strategy,
                      const core::SearchOptions &search)
 {
-    std::string out = canonicalContext(network, config);
-    out += "[plan]\n";
-    appendKV(out, "strategy", strategy);
-    appendKV(out, "engine", std::string(searchEngineName(search.engine)));
-    appendKV(out, "beam_width", search.beamWidth);
-    appendKV(out, "adaptive_beam",
-             std::string(search.adaptiveBeam ? "1" : "0"));
-    // SearchOptions::beamWidthStart (the request's width_hint) is
-    // deliberately NOT keyed: the warm start only skips the adaptive
-    // beam's ramp, the plan and cost are bit-identical with or without
-    // it — keying it forked duplicate cache entries per hint value.
-    return out;
+    return canonicalContext(network, config) + planSuffix(strategy, search);
 }
 
 std::string
@@ -188,25 +221,49 @@ canonicalSweepRequest(const dnn::Network &network,
                       const std::string &strategy,
                       const core::SearchOptions &search, std::size_t level)
 {
-    std::string out = canonicalPlanRequest(network, config, strategy,
-                                           search);
-    out += "[sweep]\n";
-    appendKV(out, "level", level);
-    return out;
+    return canonicalPlanRequest(network, config, strategy, search) +
+           sweepSuffix(level);
+}
+
+ContextKey::ContextKey(const dnn::Network &network,
+                       const sim::SimConfig &config)
+{
+    context_.update(canonicalContext(network, config));
+    Sha256 done = context_;
+    hex_ = done.hexDigest();
+}
+
+std::string
+ContextKey::planHash(const std::string &strategy,
+                     const core::SearchOptions &search) const
+{
+    Sha256 h = context_;
+    h.update(planSuffix(strategy, search));
+    return h.hexDigest();
+}
+
+std::string
+ContextKey::sweepHash(const std::string &strategy,
+                      const core::SearchOptions &search,
+                      std::size_t level) const
+{
+    Sha256 h = context_;
+    h.update(planSuffix(strategy, search));
+    h.update(sweepSuffix(level));
+    return h.hexDigest();
 }
 
 std::string
 contextHash(const dnn::Network &network, const sim::SimConfig &config)
 {
-    return sha256Hex(canonicalContext(network, config));
+    return ContextKey(network, config).hex();
 }
 
 std::string
 planHash(const dnn::Network &network, const sim::SimConfig &config,
          const std::string &strategy, const core::SearchOptions &search)
 {
-    return sha256Hex(
-        canonicalPlanRequest(network, config, strategy, search));
+    return ContextKey(network, config).planHash(strategy, search);
 }
 
 std::string
@@ -214,8 +271,7 @@ sweepHash(const dnn::Network &network, const sim::SimConfig &config,
           const std::string &strategy, const core::SearchOptions &search,
           std::size_t level)
 {
-    return sha256Hex(
-        canonicalSweepRequest(network, config, strategy, search, level));
+    return ContextKey(network, config).sweepHash(strategy, search, level);
 }
 
 } // namespace hypar::serve

@@ -13,8 +13,10 @@
  *  - The network is rendered with dnn::toSpec(), i.e. parsed and
  *    re-serialized — spec comments, blank lines, and attribute
  *    spelling variants do not affect the key.
- *  - Every double is printed with printf "%.17g", which round-trips
- *    IEEE 754 binary64 exactly; integers print in decimal.
+ *  - Every double is printed as printf "%.17g" would print it (rendered
+ *    with std::to_chars, general format, precision 17 — the standard
+ *    defines that as %.17g), which round-trips IEEE 754 binary64
+ *    exactly; integers print in decimal.
  *  - Fault entries are sorted by id (per kind) before rendering.
  *  - SimOptions::recordTrace is *excluded*: it changes what is
  *    recorded, never what is computed, so tracing must not fork the
@@ -37,6 +39,15 @@
  * sweepHash(network, config, strategy, search, level) extends the plan
  * payload with the swept hierarchy level; the on-disk sweep-result
  * cache keys on it.
+ *
+ * The three texts are prefixes of one another: plan text = context
+ * text + a `[plan]` section, sweep text = plan text + a `[sweep]`
+ * section. ContextKey exploits that to canonicalize a request once: it
+ * absorbs the context text into a SHA-256 state, finalizes a copy for
+ * the context hash, and derives a plan or sweep hash by copying the
+ * state again and feeding only the suffix. The digests are the ones
+ * sha256Hex gives over the full texts (pinned in tests/test_serve.cc);
+ * planHash and sweepHash are one-shot wrappers over a ContextKey.
  */
 
 #ifndef HYPAR_SERVE_CANONICAL_HH
@@ -47,6 +58,7 @@
 #include "core/optimal_partitioner.hh"
 #include "core/strategies.hh"
 #include "dnn/network.hh"
+#include "serve/sha256.hh"
 #include "sim/evaluator.hh"
 
 namespace hypar::serve {
@@ -69,6 +81,33 @@ std::string canonicalPlanRequest(const dnn::Network &network,
                                  const sim::SimConfig &config,
                                  const std::string &strategy,
                                  const core::SearchOptions &search);
+
+/**
+ * The hash state of one canonicalized context: the network and config
+ * are rendered and hashed once, and every key of a request derives
+ * from that state.
+ */
+class ContextKey
+{
+  public:
+    ContextKey(const dnn::Network &network, const sim::SimConfig &config);
+
+    /** contextHash: SHA-256 hex of canonicalContext. */
+    const std::string &hex() const { return hex_; }
+
+    /** planHash: SHA-256 hex of canonicalPlanRequest. */
+    std::string planHash(const std::string &strategy,
+                         const core::SearchOptions &search) const;
+
+    /** sweepHash: SHA-256 hex of canonicalSweepRequest. */
+    std::string sweepHash(const std::string &strategy,
+                          const core::SearchOptions &search,
+                          std::size_t level) const;
+
+  private:
+    Sha256 context_; //!< absorbed canonicalContext, never finalized
+    std::string hex_;
+};
 
 /** SHA-256 hex of canonicalContext. */
 std::string contextHash(const dnn::Network &network,
@@ -103,7 +142,8 @@ const char *searchEngineName(core::SearchEngine engine);
 /** Canonical short name of a strategy ("dp"/"mp"/"owt"/"hypar"). */
 const char *strategyName(core::Strategy strategy);
 
-/** printf "%.17g" of a double (round-trips binary64 exactly). */
+/** printf "%.17g" of a double (round-trips binary64 exactly), via
+ *  std::to_chars. */
 std::string canonicalDouble(double value);
 
 } // namespace hypar::serve

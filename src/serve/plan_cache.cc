@@ -1,8 +1,11 @@
 #include "serve/plan_cache.hh"
 
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "core/plan.hh"
 #include "serve/canonical.hh"
@@ -41,6 +44,25 @@ readFile(const fs::path &path)
     if (in.bad())
         return std::nullopt;
     return std::move(ss).str();
+}
+
+/**
+ * A staging name no other writer uses: `final`'s name with its
+ * ".json" replaced by ".<pid>.<seq>.tmp". The sequence number is
+ * process-wide, so two PlanCache instances (or two threads) storing
+ * one hash never share a staging file, and the pid separates
+ * processes.
+ */
+fs::path
+stagingPath(const fs::path &final)
+{
+    static std::atomic<std::uint64_t> sequence{0};
+    std::string extension = ".";
+    extension += std::to_string(::getpid());
+    extension += '.';
+    extension += std::to_string(sequence.fetch_add(1));
+    extension += ".tmp";
+    return fs::path(final).replace_extension(extension);
 }
 
 /** Non-negative integral JSON field -> uint64 (fatal on mismatch). */
@@ -240,59 +262,60 @@ PlanCache::quarantine(const fs::path &path)
     }
 }
 
+template <typename Result, typename Decode>
+std::optional<Result>
+PlanCache::lookupEntry(const fs::path &path, const std::string &hash,
+                       const Decode &decode)
+{
+    // Published entries are immutable (a store renames a complete file
+    // into place), so the read and the decode need no lock; only the
+    // counters and the quarantine rename do.
+    std::optional<Result> result;
+    bool corrupt = false;
+    if (std::optional<std::string> text = readFile(path)) {
+        try {
+            result = decode(*text, hash);
+        } catch (const util::FatalError &) {
+            corrupt = true;
+        }
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (corrupt)
+        quarantine(path);
+    if (result)
+        ++stats_.hits;
+    else
+        ++stats_.misses;
+    return result;
+}
+
 std::optional<core::HierarchicalResult>
 PlanCache::lookup(const std::string &planHash)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     if (!enabled_) {
+        std::lock_guard<std::mutex> lock(mu_);
         ++stats_.misses;
         return std::nullopt;
     }
     if (!validHash(planHash))
         util::fatal("plan cache: malformed plan hash '" + planHash + "'");
-    const fs::path path = entryPath(planHash);
-    const std::optional<std::string> text = readFile(path);
-    if (!text) {
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    try {
-        core::HierarchicalResult result = decodeEntry(*text, planHash);
-        ++stats_.hits;
-        return result;
-    } catch (const util::FatalError &) {
-        quarantine(path);
-        ++stats_.misses;
-        return std::nullopt;
-    }
+    return lookupEntry<core::HierarchicalResult>(entryPath(planHash),
+                                                 planHash, decodeEntry);
 }
 
 std::optional<SweepResult>
 PlanCache::lookupSweep(const std::string &sweepHash)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     if (!enabled_) {
+        std::lock_guard<std::mutex> lock(mu_);
         ++stats_.misses;
         return std::nullopt;
     }
     if (!validHash(sweepHash))
         util::fatal("sweep cache: malformed sweep hash '" + sweepHash +
                     "'");
-    const fs::path path = sweepPath(sweepHash);
-    const std::optional<std::string> text = readFile(path);
-    if (!text) {
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    try {
-        SweepResult r = decodeSweepEntry(*text, sweepHash);
-        ++stats_.hits;
-        return r;
-    } catch (const util::FatalError &) {
-        quarantine(path);
-        ++stats_.misses;
-        return std::nullopt;
-    }
+    return lookupEntry<SweepResult>(sweepPath(sweepHash), sweepHash,
+                                    decodeSweepEntry);
 }
 
 std::string
@@ -326,56 +349,55 @@ PlanCache::entryJson(const std::string &planHash,
     return out;
 }
 
-void
-PlanCache::storeFile(const fs::path &tmp, const fs::path &final,
-                     const std::string &payload)
+bool
+PlanCache::publish(const fs::path &final, const std::string &payload)
 {
+    // The staging name is unique to this write, so the write itself
+    // needs no lock; the rename publishes the entry atomically.
+    const fs::path tmp = stagingPath(final);
     std::error_code ec;
     fs::create_directories(dir_, ec);
-    if (ec)
-        util::fatal("plan cache: cannot create '" + dir_.string() +
-                    "': " + ec.message());
-    {
+    bool ok = !ec;
+    if (ok) {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            util::fatal("plan cache: cannot write '" + tmp.string() + "'");
         out << payload;
         out.flush();
-        if (!out)
-            util::fatal("plan cache: short write to '" + tmp.string() +
-                        "'");
+        ok = static_cast<bool>(out);
     }
-    fs::rename(tmp, final, ec);
-    if (ec)
-        util::fatal("plan cache: cannot publish '" + tmp.string() +
-                    "': " + ec.message());
-    ++stats_.stores;
+    if (ok) {
+        fs::rename(tmp, final, ec);
+        ok = !ec;
+    }
+    if (!ok)
+        fs::remove(tmp, ec);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ok)
+        ++stats_.stores;
+    else
+        ++stats_.storeFailures;
+    return ok;
 }
 
-void
+bool
 PlanCache::store(const std::string &planHash,
                  const core::HierarchicalResult &result)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     if (!enabled_)
-        return;
+        return false;
     if (!validHash(planHash))
         util::fatal("plan cache: malformed plan hash '" + planHash + "'");
-    storeFile(dir_ / (planHash + ".tmp"), entryPath(planHash),
-              entryJson(planHash, result));
+    return publish(entryPath(planHash), entryJson(planHash, result));
 }
 
-void
+bool
 PlanCache::storeSweep(const std::string &sweepHash, const SweepResult &r)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     if (!enabled_)
-        return;
+        return false;
     if (!validHash(sweepHash))
         util::fatal("sweep cache: malformed sweep hash '" + sweepHash +
                     "'");
-    storeFile(dir_ / (sweepHash + ".sweep.tmp"), sweepPath(sweepHash),
-              sweepEntryJson(sweepHash, r));
+    return publish(sweepPath(sweepHash), sweepEntryJson(sweepHash, r));
 }
 
 std::string

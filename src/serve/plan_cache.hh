@@ -13,10 +13,18 @@
  *
  * Robustness contract (pinned by tests/test_serve.cc):
  *
- *  - Writes are atomic: the entry is written to `<hash>.tmp` in the
- *    same directory and std::filesystem::rename'd into place, so a
- *    reader never observes a torn entry and a crashed writer leaves at
- *    worst a stale .tmp (ignored by lookups, removed by evict()).
+ *  - Writes are atomic: the entry is written to a staging file
+ *    `<hash>.<pid>.<seq>.tmp` (`<hash>.sweep.<pid>.<seq>.tmp` for
+ *    sweeps; the sequence number is process-wide) in the same
+ *    directory and std::filesystem::rename'd into place, so a reader
+ *    never observes a torn entry, two writers of one hash — threads or
+ *    processes — never interleave into one staging file, and a crashed
+ *    writer leaves at worst a stale .tmp (ignored by lookups, removed
+ *    by evict()).
+ *  - A failed write (unwritable or missing directory, full disk) is
+ *    not an error: store() returns false and counts it in
+ *    PlanCacheStats::storeFailures, and the server answers with the
+ *    computed result as a bypass.
  *  - A corrupt entry — truncated JSON, trailing garbage, wrong format
  *    string, wrong version, wrong hash, malformed plan — is
  *    *quarantined*: renamed to `<hash>.quarantine` (best effort) and
@@ -32,10 +40,14 @@
  * atomic-rename / evict machinery. The hit/miss/store/quarantine
  * counters are shared across both entry kinds.
  *
- * Thread safety: every operation takes an internal mutex, so the
- * server's parallel request groups may look up and store
- * concurrently; counter totals still only make sense at the server's
- * serial points. Cross-*process* safety comes from the atomic rename
+ * Thread safety: the server's parallel request groups may look up and
+ * store concurrently. Reads take no lock: a published entry is
+ * immutable once renamed into place, so lookups read and decode it
+ * outside the internal mutex, which guards only the counters, the
+ * quarantine rename and evict(). Writes stage into unique files, so
+ * they need no lock either until the counter update. Counter totals
+ * still only make sense at the server's serial points. Cross-*process*
+ * safety comes from the unique staging names and the atomic rename
  * (concurrent servers may redundantly re-plan, never corrupt).
  */
 
@@ -72,6 +84,7 @@ struct PlanCacheStats
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t stores = 0;
+    std::size_t storeFailures = 0; //!< writes that could not publish
     std::size_t quarantined = 0;
 };
 
@@ -111,10 +124,11 @@ class PlanCache
     std::optional<core::HierarchicalResult>
     lookup(const std::string &planHash);
 
-    /** Atomically persist `result` under `planHash` (no-op when
-     *  disabled). Fatal when the directory cannot be created or the
-     *  entry cannot be written. */
-    void store(const std::string &planHash,
+    /** Atomically persist `result` under `planHash`. Returns true
+     *  when the entry was published; false when the cache is disabled
+     *  or the write failed (the directory cannot be created or the
+     *  entry cannot be written — counted in storeFailures). */
+    bool store(const std::string &planHash,
                const core::HierarchicalResult &result);
 
     /**
@@ -123,8 +137,9 @@ class PlanCache
      */
     std::optional<SweepResult> lookupSweep(const std::string &sweepHash);
 
-    /** Atomically persist a sweep result under `sweepHash`. */
-    void storeSweep(const std::string &sweepHash, const SweepResult &r);
+    /** Atomically persist a sweep result under `sweepHash` (same
+     *  return value as store()). */
+    bool storeSweep(const std::string &sweepHash, const SweepResult &r);
 
     /** Delete every entry (including .tmp/.quarantine debris); returns
      *  the number of files removed. Works even when disabled — eviction
@@ -147,14 +162,18 @@ class PlanCache
   private:
     std::filesystem::path entryPath(const std::string &planHash) const;
     std::filesystem::path sweepPath(const std::string &sweepHash) const;
+    /** Caller holds mu_. */
     void quarantine(const std::filesystem::path &path);
-    void storeFile(const std::filesystem::path &tmp,
-                   const std::filesystem::path &final,
-                   const std::string &payload);
+    template <typename Result, typename Decode>
+    std::optional<Result> lookupEntry(const std::filesystem::path &path,
+                                      const std::string &hash,
+                                      const Decode &decode);
+    bool publish(const std::filesystem::path &final,
+                 const std::string &payload);
 
     std::filesystem::path dir_;
     bool enabled_;
-    std::mutex mu_; //!< guards stats_ and the entry files
+    std::mutex mu_; //!< guards stats_, quarantine renames and evict()
     PlanCacheStats stats_;
 };
 

@@ -61,7 +61,7 @@ struct Pending
     Request req;
     std::optional<dnn::Network> network; //!< Network has no default ctor
     sim::SimConfig config;
-    std::string ctxHash;
+    std::optional<ContextKey> key; //!< the context, canonicalized once
     core::HierarchicalPlan evalPlan; //!< evaluate: the plan to score
     bool coalesce = false;           //!< joins a shared evaluateBatch
     bool done = false;               //!< response already written
@@ -362,6 +362,32 @@ opIndex(const std::string &op)
     return 0; // unreachable for requests that execute
 }
 
+/**
+ * std::getline with a length cap: reads one line into `line` and
+ * returns false at end of input. A line longer than kMaxLineBytes
+ * keeps only its first kMaxLineBytes + 1 characters — enough for
+ * processBatch to reject it — and the rest is read and dropped.
+ * sbumpc costs one getc per character on the stdio-synced std::cin
+ * that `hyparc serve` reads; std::getline peeks with a getc/ungetc
+ * pair per character there.
+ */
+bool
+readLine(std::istream &in, std::string &line)
+{
+    line.clear();
+    std::streambuf *buf = in.rdbuf();
+    for (int c = buf->sbumpc();; c = buf->sbumpc()) {
+        if (c == std::char_traits<char>::eof()) {
+            in.setstate(std::ios::eofbit);
+            return !line.empty();
+        }
+        if (c == '\n')
+            return true;
+        if (line.size() <= kMaxLineBytes)
+            line.push_back(static_cast<char>(c));
+    }
+}
+
 } // namespace
 
 bool
@@ -395,22 +421,28 @@ Server::processBatch(const std::vector<std::string> &lines,
     // Pass 1 — parse and validate the *whole* request up front, before
     // the session registry is touched: a request that will answer with
     // an in-band error must never build — or evict — a warm session.
-    for (std::size_t i = 0; i < n; ++i) {
+    // Requests are independent here and each writes only its own slot,
+    // so the pass fans out over the pool (a one-request batch runs
+    // inline); the error count is folded serially afterwards.
+    auto admit = [&](std::size_t i) {
         Pending &p = pending[i];
         try {
+            if (lines[i].size() > kMaxLineBytes)
+                util::fatal("request line is longer than " +
+                            std::to_string(kMaxLineBytes) + " bytes");
             parseRequest(lines[i], p.req);
             if (!needsSession(p.req.op)) {
                 if (p.req.op != "stats" && p.req.op != "evict" &&
                     p.req.op != "shutdown")
                     util::fatal("unknown op '" + p.req.op + "'");
-                continue;
+                return;
             }
             p.network = buildNetwork(p.req);
             p.config = buildConfig(p.req);
             validateStrategyName(p.req.strategy);
             buildSearch(p.req); // rejects unknown engines
             sim::validateFaults(p.config);
-            p.ctxHash = contextHash(*p.network, p.config);
+            p.key.emplace(*p.network, p.config);
             if (p.req.op == "evaluate") {
                 if (p.req.hasPlan) {
                     p.evalPlan = decodePlanBits(p.req.planBits);
@@ -428,10 +460,18 @@ Server::processBatch(const std::vector<std::string> &lines,
                             "(0-based hierarchy level)");
         } catch (const std::exception &e) {
             responses[i] = errorResponse(p.req, e.what());
-            ++stats_.errors;
+            p.errored = true;
             p.done = true;
         }
-    }
+    };
+    pool_->parallelFor(0, n, pool_->grainFor(n),
+                       [&](std::size_t b, std::size_t e) {
+                           for (std::size_t i = b; i < e; ++i)
+                               admit(i);
+                       });
+    for (const Pending &p : pending)
+        if (p.errored)
+            ++stats_.errors;
 
     // Pass 2 — admission: reserve every session on this thread, in
     // request order, so LRU motion (touch, create, evict) is identical
@@ -440,7 +480,8 @@ Server::processBatch(const std::vector<std::string> &lines,
     for (std::size_t i = 0; i < n; ++i) {
         Pending &p = pending[i];
         if (!p.done && needsSession(p.req.op))
-            p.session = sessions_.reserve(*p.network, p.config, p.ctxHash);
+            p.session = sessions_.reserve(*p.network, p.config,
+                                          p.key->hex());
     }
 
     // One context-hash group of session ops, executed in request order
@@ -511,13 +552,10 @@ Server::processBatch(const std::vector<std::string> &lines,
             try {
                 if (p.req.op == "plan") {
                     const std::string hash =
-                        planHash(*p.network, p.config, p.req.strategy,
-                                 buildSearch(p.req));
+                        p.key->planHash(p.req.strategy, buildSearch(p.req));
                     std::optional<core::HierarchicalResult> cached =
                         cache_.lookup(hash);
-                    const char *outcome =
-                        cached ? "hit"
-                               : (cache_.enabled() ? "miss" : "bypass");
+                    const char *outcome = "hit";
                     core::HierarchicalResult result;
                     if (cached) {
                         result = std::move(*cached);
@@ -530,11 +568,14 @@ Server::processBatch(const std::vector<std::string> &lines,
                             result.commBytes =
                                 session.evaluator->model().planBytes(
                                     result.plan);
-                        cache_.store(hash, result);
+                        // A store that cannot publish (cache off, or
+                        // an I/O failure) still answers: as a bypass.
+                        outcome = cache_.store(hash, result) ? "miss"
+                                                             : "bypass";
                     }
                     responses[i] =
                         responseHead(p.req, true) +
-                        ",\"context_hash\":\"" + p.ctxHash + "\"" +
+                        ",\"context_hash\":\"" + p.key->hex() + "\"" +
                         ",\"plan_hash\":\"" + hash + "\"" +
                         ",\"cache\":\"" + outcome + "\"" +
                         ",\"plan\":" + planLevelsJson(result.plan) +
@@ -553,19 +594,16 @@ Server::processBatch(const std::vector<std::string> &lines,
                             p.evalPlan, p.req.steps);
                     responses[i] =
                         responseHead(p.req, true) +
-                        ",\"context_hash\":\"" + p.ctxHash + "\"" +
+                        ",\"context_hash\":\"" + p.key->hex() + "\"" +
                         ",\"batched\":1,\"steps\":" +
                         std::to_string(p.req.steps) +
                         ",\"metrics\":" + metricsJson(m) + "}";
                 } else if (p.req.op == "sweep") {
-                    const std::string hash =
-                        sweepHash(*p.network, p.config, p.req.strategy,
-                                  buildSearch(p.req), p.req.level);
+                    const std::string hash = p.key->sweepHash(
+                        p.req.strategy, buildSearch(p.req), p.req.level);
                     std::optional<SweepResult> cached =
                         cache_.lookupSweep(hash);
-                    const char *outcome =
-                        cached ? "hit"
-                               : (cache_.enabled() ? "miss" : "bypass");
+                    const char *outcome = "hit";
                     SweepResult r;
                     if (cached) {
                         r = std::move(*cached);
@@ -589,11 +627,12 @@ Server::processBatch(const std::vector<std::string> &lines,
                         r.bestBits = core::toBitString(
                             core::levelPlanFromMask(r.bestMask,
                                                     base.numLayers()));
-                        cache_.storeSweep(hash, r);
+                        outcome = cache_.storeSweep(hash, r) ? "miss"
+                                                             : "bypass";
                     }
                     responses[i] =
                         responseHead(p.req, true) +
-                        ",\"context_hash\":\"" + p.ctxHash + "\"" +
+                        ",\"context_hash\":\"" + p.key->hex() + "\"" +
                         ",\"cache\":\"" + outcome + "\"" +
                         ",\"level\":" + std::to_string(r.level) +
                         ",\"evaluated\":" + std::to_string(r.evaluated) +
@@ -623,7 +662,7 @@ Server::processBatch(const std::vector<std::string> &lines,
             return;
         std::map<std::string, std::vector<std::size_t>> groups;
         for (const std::size_t i : segment)
-            groups[pending[i].ctxHash].push_back(i);
+            groups[pending[i].key->hex()].push_back(i);
         std::vector<const std::vector<std::size_t> *> order;
         order.reserve(groups.size());
         for (const auto &[hash, members] : groups)
@@ -684,6 +723,8 @@ Server::processBatch(const std::vector<std::string> &lines,
                     "\",\"hits\":" + std::to_string(c.hits) +
                     ",\"misses\":" + std::to_string(c.misses) +
                     ",\"stores\":" + std::to_string(c.stores) +
+                    ",\"store_failures\":" +
+                    std::to_string(c.storeFailures) +
                     ",\"quarantined\":" + std::to_string(c.quarantined) +
                     "},\"sessions\":{\"size\":" +
                     std::to_string(sessions_.size()) +
@@ -737,9 +778,12 @@ Server::run(std::istream &in, std::ostream &out)
     std::vector<std::string> batch;
     std::string line;
     bool keepGoing = true;
-    while (keepGoing && std::getline(in, line)) {
-        // Blank line = admission barrier: flush the buffered batch.
+    while (keepGoing && readLine(in, line)) {
+        // Blank line = admission barrier: flush the buffered batch. An
+        // over-long line is a request (answered with an error), even
+        // when the part readLine kept is all whitespace.
         const bool blank =
+            line.size() <= kMaxLineBytes &&
             line.find_first_not_of(" \t\r") == std::string::npos;
         if (blank) {
             if (!batch.empty()) {

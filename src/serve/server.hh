@@ -32,10 +32,13 @@
  *    persisted in the on-disk serve::PlanCache keyed by
  *    serve::planHash, and a cache hit short-circuits the search with
  *    a bit-identical result.
- *  - A malformed request (bad JSON, unknown field, bad value) yields
- *    an `"ok": false` response *line* in its slot; the server never
- *    dies on client input. Fatal errors only escape for server-side
- *    setup problems (unwritable cache directory).
+ *  - A malformed request (bad JSON, unknown field, bad value, an
+ *    over-long line) yields an `"ok": false` response *line* in its
+ *    slot; the server never dies on client input. A cache write that
+ *    fails (unwritable cache directory, full disk) is not an error
+ *    either: the response carries the computed result with
+ *    `"cache": "bypass"` and `stats` counts it in
+ *    `cache.store_failures`.
  *
  * Ops: "plan", "evaluate", "sweep", "stats", "evict", "shutdown".
  */
@@ -92,6 +95,14 @@ inline constexpr const char *kRequestFields[] = {
  * bounds per-request work; larger values are rejected in-band.
  */
 inline constexpr std::size_t kMaxSteps = 100000;
+
+/**
+ * Longest request line run() buffers, in bytes (excluding the
+ * newline). Past it run() stops buffering, discards the rest of the
+ * line, and the request answers in-band with an error; processBatch
+ * rejects any longer line it is handed the same way.
+ */
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /** Server-wide knobs (from `hyparc serve` flags). */
 struct ServeOptions

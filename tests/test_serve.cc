@@ -9,11 +9,16 @@
  * across engines and across thread counts.
  */
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +36,7 @@
 #include "serve/session.hh"
 #include "serve/sha256.hh"
 #include "sim/evaluator.hh"
+#include "support/sp_dag_gen.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -337,6 +343,155 @@ TEST(Canonical, DoubleRendersRoundTrip)
     EXPECT_EQ(serve::canonicalDouble(1.0), "1");
 }
 
+namespace {
+
+/** The rendering canonicalDouble promises: printf's "%.17g". */
+std::string
+printfDouble(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
+} // namespace
+
+TEST(Canonical, DoubleMatchesPrintfOnEveryClassOfDouble)
+{
+    using Limits = std::numeric_limits<double>;
+    const std::vector<double> special = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1e22, 1e23, 5e-324, -5e-324,
+        Limits::denorm_min(), Limits::min(), -Limits::min(),
+        Limits::min() - Limits::denorm_min(), Limits::max(),
+        -Limits::max(), Limits::epsilon(), Limits::infinity(),
+        -Limits::infinity(), Limits::quiet_NaN(), -Limits::quiet_NaN(),
+        123456789012345678.0, 0.30000000000000004, 1e16, 1e17};
+    for (const double v : special)
+        EXPECT_EQ(serve::canonicalDouble(v), printfDouble(v)) << v;
+
+    // Seeded doubles of every class: raw bit patterns (every exponent,
+    // subnormals and NaN payloads included), then values of the scale
+    // the configs hold (integers, short decimals, products).
+    tests::SplitMix64 rng{20240613};
+    for (int k = 0; k < 100000; ++k) {
+        const double v = std::bit_cast<double>(rng.next());
+        ASSERT_EQ(serve::canonicalDouble(v), printfDouble(v))
+            << std::hexfloat << v;
+    }
+    for (int k = 0; k < 100000; ++k) {
+        const double mantissa =
+            static_cast<double>(rng.next() >> 11) * 0x1p-53;
+        const double v = std::ldexp(mantissa, static_cast<int>(
+                                                   rng.range(0, 120)) -
+                                                   60) *
+                         (rng.coin() ? 1.0 : -1.0);
+        const double decimal =
+            static_cast<double>(rng.below(100000)) / 1000.0;
+        ASSERT_EQ(serve::canonicalDouble(v), printfDouble(v))
+            << std::hexfloat << v;
+        ASSERT_EQ(serve::canonicalDouble(decimal), printfDouble(decimal))
+            << decimal;
+    }
+}
+
+namespace {
+
+/** The degraded VGG-E context the golden digests below pin. */
+sim::SimConfig
+goldenFaultedConfig()
+{
+    sim::SimConfig cfg;
+    cfg.levels = 10;
+    cfg.comm.batch = 1024;
+    cfg.topology = sim::TopologyKind::kTorus;
+    cfg.options.overlapGradComm = true;
+    cfg.faults.nodes = {{3, 0.5}, {1, 0.25}};
+    cfg.faults.links = {{2, 0.75}};
+    return cfg;
+}
+
+} // namespace
+
+TEST(Canonical, GoldenHashesArePinned)
+{
+    // Digests captured with the printf-rendered, render-per-key
+    // canonicalization. Every on-disk cache entry and warm session is
+    // keyed by them, so they must never move without a
+    // kCanonicalVersion bump.
+    const core::SearchOptions search{};
+    const dnn::Network sfc = dnn::makeSfc();
+    const sim::SimConfig plain;
+    EXPECT_EQ(serve::contextHash(sfc, plain),
+              "59a2c4a456e63ccd15a37303697d39c0"
+              "ea4344309f0f46b626cc30d6d1982ab8");
+    EXPECT_EQ(serve::planHash(sfc, plain, "optimal", search),
+              "502055453475c577460f596be4982d11"
+              "cd1601e4b6b3942d2409c730a7742c8e");
+
+    const dnn::Network vgg = dnn::makeVggE();
+    const sim::SimConfig faulted = goldenFaultedConfig();
+    EXPECT_EQ(serve::contextHash(vgg, faulted),
+              "e358a37dcb9511a879e9f2dab713c504"
+              "a03b10490b278f896122f442f4340c63");
+    EXPECT_EQ(serve::planHash(vgg, faulted, "optimal", search),
+              "880980183dcaa34133f8173412028769"
+              "305213ffbc7172de59ade780062dea7a");
+    EXPECT_EQ(serve::sweepHash(vgg, faulted, "hypar", search, 3),
+              "a4773dc4021e5a9f7210a50e76362371"
+              "4ca3419bb153e2c368fe006b23bf2439");
+}
+
+TEST(Canonical, KeyDerivedHashesMatchTheFullTextHashes)
+{
+    // ContextKey derives the plan and sweep digests from a copy of the
+    // context's SHA-256 state. They must equal the one-shot digest of
+    // the full canonical request text, whatever the context.
+    std::vector<sim::SimConfig> configs;
+    for (const sim::TopologyKind topology :
+         {sim::TopologyKind::kHTree, sim::TopologyKind::kTorus,
+          sim::TopologyKind::kMesh}) {
+        sim::SimConfig cfg;
+        cfg.topology = topology;
+        configs.push_back(cfg);
+        sim::SimConfig faulted = goldenFaultedConfig();
+        faulted.topology = topology;
+        configs.push_back(faulted);
+    }
+    core::SearchOptions tuned;
+    tuned.engine = core::SearchEngine::kBeam;
+    tuned.beamWidth = 32;
+    tuned.adaptiveBeam = false;
+    const std::vector<core::SearchOptions> searches = {
+        core::SearchOptions{}, tuned};
+
+    for (const dnn::Network &net : dnn::allModels()) {
+        for (const sim::SimConfig &cfg : configs) {
+            const serve::ContextKey key(net, cfg);
+            ASSERT_EQ(key.hex(),
+                      serve::sha256Hex(serve::canonicalContext(net, cfg)))
+                << net.name();
+            for (const char *strategy :
+                 {"hypar", "dp", "mp", "owt", "optimal"}) {
+                for (const core::SearchOptions &search : searches) {
+                    EXPECT_EQ(key.planHash(strategy, search),
+                              serve::sha256Hex(serve::canonicalPlanRequest(
+                                  net, cfg, strategy, search)))
+                        << net.name() << " " << strategy;
+                    for (const std::size_t level : {0u, 3u}) {
+                        EXPECT_EQ(key.sweepHash(strategy, search, level),
+                                  serve::sha256Hex(
+                                      serve::canonicalSweepRequest(
+                                          net, cfg, strategy, search,
+                                          level)))
+                            << net.name() << " " << strategy << " "
+                            << level;
+                    }
+                }
+            }
+        }
+    }
+}
+
 // --- Plan cache --------------------------------------------------------------
 
 namespace {
@@ -352,6 +507,17 @@ writeFile(const fs::path &path, const std::string &text)
 {
     std::ofstream out(path, std::ios::binary);
     out << text;
+}
+
+/** Staging files (".tmp") left in `dir`. */
+std::size_t
+countTmpFiles(const fs::path &dir)
+{
+    std::size_t n = 0;
+    for (const auto &e : fs::directory_iterator(dir))
+        if (e.path().extension() == ".tmp")
+            ++n;
+    return n;
 }
 
 } // namespace
@@ -382,7 +548,80 @@ TEST(PlanCache, StoreThenLookupIsBitIdentical)
 
     // Atomic write: the entry exists, the staging .tmp does not.
     EXPECT_TRUE(fs::exists(tmp.path / (hash + ".json")));
-    EXPECT_FALSE(fs::exists(tmp.path / (hash + ".tmp")));
+    EXPECT_EQ(countTmpFiles(tmp.path), 0u);
+}
+
+TEST(PlanCache, ConcurrentWritersOfOneHashNeverTearTheEntry)
+{
+    // Two caches over one directory stand in for two server processes;
+    // several threads each store the same hash and read it back. Every
+    // writer stages into its own <hash>.<pid>.<seq>.tmp, so the
+    // published entry always decodes and no staging file survives.
+    TempDir tmp("cache_concurrent");
+    serve::PlanCache a(tmp.path, true);
+    serve::PlanCache b(tmp.path, true);
+    const core::HierarchicalResult result = sampleResult();
+    const std::string hash = hashFor(result);
+    serve::SweepResult sweep;
+    sweep.level = 1;
+    sweep.evaluated = 32;
+    sweep.bestMask = 5;
+    sweep.bestBits = "10100";
+    sweep.best.stepSeconds = 0.1 + 0.2;
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 25;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        serve::PlanCache &cache = t % 2 == 0 ? a : b;
+        threads.emplace_back([&cache, &hash, &result, &sweep] {
+            for (int r = 0; r < kRounds; ++r) {
+                EXPECT_TRUE(cache.store(hash, result));
+                EXPECT_TRUE(cache.storeSweep(hash, sweep));
+                const auto back = cache.lookup(hash);
+                ASSERT_TRUE(back.has_value());
+                EXPECT_EQ(back->commBytes, result.commBytes);
+                const auto sweepBack = cache.lookupSweep(hash);
+                ASSERT_TRUE(sweepBack.has_value());
+                EXPECT_EQ(sweepBack->bestBits, sweep.bestBits);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    const std::size_t stores = kThreads / 2 * kRounds * 2;
+    EXPECT_EQ(a.stats().stores, stores);
+    EXPECT_EQ(b.stats().stores, stores);
+    EXPECT_EQ(a.stats().quarantined + b.stats().quarantined, 0u);
+    EXPECT_EQ(countTmpFiles(tmp.path), 0u);
+    const auto entry = serve::PlanCache(tmp.path, true).lookup(hash);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->plan.levels, result.plan.levels);
+}
+
+TEST(PlanCache, FailedStoreIsCountedNotFatal)
+{
+    // A regular file where the directory should be: creating the
+    // directory fails, whoever the test runs as.
+    TempDir tmp("cache_store_fail");
+    const fs::path dir = tmp.path / "not-a-dir";
+    writeFile(dir, "occupied");
+    serve::PlanCache cache(dir, true);
+    const core::HierarchicalResult result = sampleResult();
+    const std::string hash = hashFor(result);
+
+    EXPECT_FALSE(cache.store(hash, result));
+    EXPECT_FALSE(cache.storeSweep(hash, serve::SweepResult{}));
+    EXPECT_EQ(cache.stats().storeFailures, 2u);
+    EXPECT_EQ(cache.stats().stores, 0u);
+    EXPECT_FALSE(cache.lookup(hash).has_value());
+    EXPECT_TRUE(fs::is_regular_file(dir));
+
+    // A disabled cache publishes nothing but fails nothing either.
+    serve::PlanCache off(dir, false);
+    EXPECT_FALSE(off.store(hash, result));
+    EXPECT_EQ(off.stats().storeFailures, 0u);
 }
 
 TEST(PlanCache, CorruptEntriesAreQuarantinedNotFatal)
@@ -457,9 +696,12 @@ TEST(PlanCache, EvictRemovesEntriesAndDebris)
     cache.store(std::string(64, 'a'), result);
     cache.store(std::string(64, 'b'), result);
     writeFile(tmp.path / (std::string(64, 'c') + ".tmp"), "stale");
+    writeFile(tmp.path / (std::string(64, 'e') + ".4242.7.tmp"), "stale");
+    writeFile(tmp.path / (std::string(64, 'e') + ".sweep.4242.8.tmp"),
+              "stale");
     writeFile(tmp.path / (std::string(64, 'd') + ".quarantine"), "bad");
 
-    EXPECT_EQ(cache.evict(), 4u);
+    EXPECT_EQ(cache.evict(), 6u);
     EXPECT_TRUE(fs::is_empty(tmp.path));
     EXPECT_FALSE(cache.lookup(std::string(64, 'a')).has_value());
 }
@@ -696,6 +938,45 @@ TEST(Server, NoCacheBypassesReadsAndWrites)
     EXPECT_EQ(second.cacheOutcome, "bypass"); // never becomes a hit
     EXPECT_EQ(second.planBits, first.planBits);
     EXPECT_FALSE(fs::exists(opts.cacheDir)); // no writes either
+}
+
+TEST(Server, FailedStoreAnswersAsABypass)
+{
+    // The cache directory path is taken by a regular file, so every
+    // store fails. The computed result still goes out, marked
+    // "bypass", and stats counts the failures.
+    TempDir tmp("serve_store_fail");
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path / "not-a-dir";
+    writeFile(opts.cacheDir, "occupied");
+    serve::Server server(opts);
+
+    const std::vector<std::string> responses = runBatch(
+        server, {R"({"op":"plan","model":"Lenet-c"})",
+                 R"({"op":"sweep","model":"Lenet-c","level":1})",
+                 R"({"op":"stats"})"});
+    ASSERT_EQ(responses.size(), 3u);
+    const PlanResponse plan = PlanResponse::parse(responses[0]);
+    EXPECT_EQ(plan.cacheOutcome, "bypass");
+    EXPECT_FALSE(plan.planBits.empty());
+    const serve::JsonValue sweep = serve::JsonValue::parse(responses[1]);
+    EXPECT_TRUE(sweep.find("ok")->asBool()) << responses[1];
+    EXPECT_EQ(sweep.find("cache")->asString(), "bypass");
+
+    const serve::JsonValue stats = serve::JsonValue::parse(responses[2]);
+    const serve::JsonValue *cache = stats.find("cache");
+    EXPECT_EQ(cache->find("store_failures")->asNumber(), 2.0);
+    EXPECT_EQ(cache->find("stores")->asNumber(), 0.0);
+    EXPECT_EQ(stats.find("server")->find("errors")->asNumber(), 0.0);
+
+    // The same requests against a cache-less server give the same
+    // bytes: a failed store is indistinguishable from --no-cache.
+    serve::ServeOptions off;
+    off.noCache = true;
+    serve::Server bypass(off);
+    EXPECT_EQ(runBatch(bypass, {R"({"op":"plan","model":"Lenet-c"})"})
+                  .at(0),
+              responses[0]);
 }
 
 TEST(Server, QuarantinedEntryIsReplannedInBand)
@@ -969,6 +1250,45 @@ TEST(Server, DeeplyNestedJsonAnswersInBandAndKeepsServing)
     const serve::JsonValue stats = serve::JsonValue::parse(responses[1]);
     EXPECT_TRUE(stats.find("ok")->asBool()) << responses[1];
     EXPECT_EQ(stats.find("server")->find("errors")->asNumber(), 1.0);
+}
+
+// A request line may not grow the server's buffer without bound: past
+// kMaxLineBytes the rest of the line is dropped and the slot answers
+// in-band; the next request is still served.
+TEST(Server, OverlongLineAnswersInBandAndKeepsServing)
+{
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    const std::string stats = R"({"op":"stats"})";
+    // Exactly at the limit is accepted: leading JSON whitespace.
+    const std::string atLimit =
+        std::string(serve::kMaxLineBytes - stats.size(), ' ') + stats;
+    const std::string overLimit =
+        std::string(serve::kMaxLineBytes + 4096, ' ') + stats;
+    std::istringstream in(atLimit + "\n" + overLimit + "\n" + stats +
+                          "\n");
+    std::ostringstream out;
+    EXPECT_EQ(server.run(in, out), 0);
+
+    std::vector<std::string> responses;
+    std::istringstream lines(out.str());
+    std::string line;
+    while (std::getline(lines, line))
+        responses.push_back(line);
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_TRUE(serve::JsonValue::parse(responses[0]).find("ok")->asBool())
+        << responses[0];
+    const serve::JsonValue over = serve::JsonValue::parse(responses[1]);
+    EXPECT_FALSE(over.find("ok")->asBool());
+    EXPECT_NE(over.find("error")->asString().find(
+                  std::to_string(serve::kMaxLineBytes) + " bytes"),
+              std::string::npos)
+        << responses[1];
+    const serve::JsonValue last = serve::JsonValue::parse(responses[2]);
+    EXPECT_TRUE(last.find("ok")->asBool()) << responses[2];
+    EXPECT_EQ(last.find("server")->find("errors")->asNumber(), 1.0);
 }
 
 TEST(Server, StepsAreCapped)
