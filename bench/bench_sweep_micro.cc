@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "bench_common.hh"
@@ -162,6 +163,75 @@ BM_Fig9LenetSweepOverlap(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Fig9LenetSweepOverlap)->Unit(benchmark::kMillisecond);
+
+/**
+ * One single-level sweep at H = 8, the unit of the serving tier's
+ * `sweep` op: all 2^L masks of the innermost level of HyPar's plan.
+ * BM_SweepH8 is sweepNeighborhood (AVX2 lanes where the CPU has them);
+ * BM_SweepH8Reference replays the same slot program through the
+ * scalar kernel directly, so the pair isolates the lanes on one box.
+ * ns_per_mask is wall time over the masks scored.
+ */
+template <bool kReference>
+void
+sweepH8(benchmark::State &state, const dnn::Network &net)
+{
+    sim::SimConfig cfg;
+    cfg.levels = 8;
+    const sim::Evaluator ev(net, cfg);
+    const auto base = ev.plan(core::Strategy::kHypar);
+    const std::size_t level = cfg.levels - 1;
+    const auto masks = std::uint64_t{1} << net.size();
+
+    std::chrono::nanoseconds elapsed{0};
+    for (auto _ : state) {
+        const auto start = std::chrono::steady_clock::now();
+        double checksum = 0.0;
+        const sim::SweepVisit visit = [&](std::uint64_t,
+                                          const sim::StepMetrics &m) {
+            checksum += m.stepSeconds;
+        };
+        if (kReference)
+            sim::sweepMasksScalar(ev.simulator().sweepProgram(base, level),
+                                  0, masks, visit);
+        else
+            ev.sweepNeighborhood(base, level, visit);
+        benchmark::DoNotOptimize(checksum);
+        elapsed += std::chrono::steady_clock::now() - start;
+    }
+    state.counters["ns_per_mask"] =
+        static_cast<double>(elapsed.count()) /
+        (static_cast<double>(masks) *
+         static_cast<double>(state.iterations()));
+}
+
+void
+BM_SweepVggaH8Reference(benchmark::State &state)
+{
+    sweepH8<true>(state, dnn::makeVggA());
+}
+BENCHMARK(BM_SweepVggaH8Reference)->Unit(benchmark::kMillisecond);
+
+void
+BM_SweepVggaH8(benchmark::State &state)
+{
+    sweepH8<false>(state, dnn::makeVggA());
+}
+BENCHMARK(BM_SweepVggaH8)->Unit(benchmark::kMillisecond);
+
+void
+BM_SweepLenetH8Reference(benchmark::State &state)
+{
+    sweepH8<true>(state, dnn::makeLenetC());
+}
+BENCHMARK(BM_SweepLenetH8Reference)->Unit(benchmark::kMicrosecond);
+
+void
+BM_SweepLenetH8(benchmark::State &state)
+{
+    sweepH8<false>(state, dnn::makeLenetC());
+}
+BENCHMARK(BM_SweepLenetH8)->Unit(benchmark::kMicrosecond);
 
 /** Strategy-sweep path: the four named strategies on one Evaluator. */
 void

@@ -239,9 +239,9 @@ avx2Kernels()
 const Kernels &
 activeKernels()
 {
-    // HYPAR_SIMD=scalar|avx2 pins the set — the lever for engine-level
-    // before/after bench rows and for forcing the portable path on a
-    // machine whose AVX2 is suspect. Unset (the normal case) means
+    // HYPAR_SIMD=scalar|avx2 pins the set (and with it the sweep
+    // kernel) — the lever for engine-level before/after bench rows and
+    // for forcing the portable path on a machine whose AVX2 is suspect. Unset (the normal case) means
     // best-available. avx2 without hardware support falls back to
     // scalar rather than faulting.
     static const Kernels &chosen = [&]() -> const Kernels & {

@@ -27,6 +27,12 @@
  * sorts its frontier, so they are). test_simd_kernels pins
  * scalar-vs-AVX2 bit-equivalence across H = 1..16 including
  * non-multiple-of-lane tails, and runs under ASan/UBSan in CI.
+ *
+ * activeKernels() is also the simulator's switch: the single-level
+ * sweep (sim::TrainingSimulator::sweepNeighborhood) scores four masks
+ * per pass with sim::sweepMasksAvx2 exactly when the AVX2 set is
+ * active, so HYPAR_SIMD=scalar pins both the search kernels above and
+ * the scalar sweep kernel.
  */
 
 #ifndef HYPAR_CORE_SIMD_KERNELS_HH

@@ -168,10 +168,9 @@ Evaluator::evaluateBatch(std::span<const core::Strategy> strategies) const
 }
 
 void
-Evaluator::sweepNeighborhood(
-    const core::HierarchicalPlan &base, std::size_t level,
-    const std::function<void(std::uint64_t, const StepMetrics &)> &visit)
-    const
+Evaluator::sweepNeighborhood(const core::HierarchicalPlan &base,
+                             std::size_t level,
+                             const SweepVisit &visit) const
 {
     simulator_->sweepNeighborhood(base, level, visit);
 }

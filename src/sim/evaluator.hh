@@ -146,14 +146,15 @@ class Evaluator
      * substitution for two-level studies. It also covers
      * SimOptions::overlapGradComm: the async schedule replays as two
      * tapes (serial compute chain + overlapped network chain) over the
-     * same variant tables, and recordTrace emits the per-task trace
-     * from them too. Non-chain (DAG) networks are scored by one
-     * simulate() per mask.
+     * same slot program, and recordTrace emits the per-task trace
+     * from it too. With AVX2 (core::simd::activeKernels()) four masks
+     * are scored per pass in vector lanes, with the same bits and the
+     * same visit order; HYPAR_SIMD=scalar pins the one-mask loop.
+     * Non-chain (DAG) networks are scored by one simulate() per mask.
      */
-    void sweepNeighborhood(
-        const core::HierarchicalPlan &base, std::size_t level,
-        const std::function<void(std::uint64_t, const StepMetrics &)>
-            &visit) const;
+    void sweepNeighborhood(const core::HierarchicalPlan &base,
+                           std::size_t level,
+                           const SweepVisit &visit) const;
 
     /**
      * Simulate `steps` back-to-back steps and report the steady-state
@@ -169,6 +170,8 @@ class Evaluator
     double commBytes(const core::HierarchicalPlan &plan) const;
 
     const core::CommModel &model() const { return model_; }
+    /** The simulator behind evaluate() (tests drive its sweep kernels). */
+    const TrainingSimulator &simulator() const { return *simulator_; }
     const noc::Topology &topology() const { return *topology_; }
     const SimConfig &config() const { return config_; }
     const dnn::Network &network() const { return network_; }

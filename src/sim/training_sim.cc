@@ -5,7 +5,12 @@
 #include <cmath>
 
 #include "core/brute_force.hh"
+#include "core/simd_kernels.hh"
 #include "util/logging.hh"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace hypar::sim {
 
@@ -403,61 +408,33 @@ TrainingSimulator::overlapSchedule(const core::HierarchicalPlan &plan) const
     return sched;
 }
 
-namespace {
-
-/** Precomputed contributions of one task slot under one variant. */
-struct Contrib
-{
-    bool present = false; //!< emitted (addExchange skips zero bytes)
-    double seconds = 0.0;
-    double computeJ = 0.0; //!< MACs, or an exchange's reduction adds
-    double sramJ = 0.0;
-    double dramJ = 0.0;
-    double commJ = 0.0; //!< remote DRAM + link energy
-    double globalBytes = 0.0;
-};
-
-/** One task of the swept step, in emission order. */
-struct SweepSlot
-{
-    const Contrib *variants = nullptr; //!< 2, or 4 for an inter exchange
-    unsigned layer = 0; //!< variant = (mask >> layer) & bits
-    unsigned bits = 1;  //!< 1, or 3 for an inter exchange
-    bool exchange = false;
-    bool async = false;
-    int phase = 0;
-};
-
-} // namespace
-
 void
-TrainingSimulator::sweepNeighborhood(
-    const core::HierarchicalPlan &base, std::size_t level,
-    const std::function<void(std::uint64_t, const StepMetrics &)> &visit)
-    const
+TrainingSimulator::validateSweep(const core::HierarchicalPlan &base,
+                                 std::size_t level) const
 {
-    const dnn::Network &net = model_->network();
-    const core::CommConfig &comm = model_->config();
-    const std::size_t num_layers = net.size();
-    const std::size_t levels = base.numLevels();
-
-    core::validatePlan(base, net);
-    if (levels != topo_->levels())
+    core::validatePlan(base, model_->network());
+    if (base.numLevels() != topo_->levels())
         util::fatal("sweepNeighborhood: plan depth does not match the "
                     "topology");
-    if (level >= levels)
+    if (level >= base.numLevels())
         util::fatal("sweepNeighborhood: swept level out of range");
-    if (num_layers > 24)
+    if (model_->network().size() > 24)
         util::fatal("sweepNeighborhood: more than 24 layers makes the "
                     "2^L sweep unreasonable");
+}
 
-    // DAG networks: the 4-variant incremental tables below key the
-    // inter exchanges by the chain transition (l, l+1), which does not
-    // hold with joins. Fall back to one full simulate() per
-    // substituted mask — bit-identical by definition, just O(2^L)
-    // rebuilds. An incremental DAG sweep is a recorded follow-up
-    // (ROADMAP).
-    if (!net.isChain()) {
+void
+TrainingSimulator::sweepNeighborhood(const core::HierarchicalPlan &base,
+                                     std::size_t level,
+                                     const SweepVisit &visit) const
+{
+    // DAG networks: the 4-variant incremental rows key the inter
+    // exchanges by the chain transition (l, l+1), which does not hold
+    // with joins. Fall back to one full simulate() per substituted
+    // mask — bit-identical by definition, just O(2^L) rebuilds. An
+    // incremental DAG sweep is a recorded follow-up (ROADMAP).
+    if (!model_->network().isChain()) {
+        validateSweep(base, level);
         core::sweepLevelMasks(
             base, level,
             [&](std::uint64_t mask, const core::HierarchicalPlan &plan) {
@@ -466,7 +443,29 @@ TrainingSimulator::sweepNeighborhood(
         return;
     }
 
-    const std::uint64_t num_masks = std::uint64_t{1} << num_layers;
+    const SweepProgram program = sweepProgram(base, level);
+    const std::uint64_t masks = program.numMasks();
+    if (options_.recordTrace)
+        sweepMasksScalar(program, 0, masks, visit, &trace_);
+    else if (masks >= 4 &&
+             &core::simd::activeKernels() != &core::simd::scalarKernels())
+        sweepMasksAvx2(program, 0, masks, visit);
+    else
+        sweepMasksScalar(program, 0, masks, visit);
+}
+
+SweepProgram
+TrainingSimulator::sweepProgram(const core::HierarchicalPlan &base,
+                                std::size_t level) const
+{
+    validateSweep(base, level);
+    const dnn::Network &net = model_->network();
+    if (!net.isChain())
+        util::fatal("sweepProgram: the slot program needs a chain "
+                    "network");
+    const core::CommConfig &comm = model_->config();
+    const std::size_t num_layers = net.size();
+    const std::size_t levels = base.numLevels();
 
     // ---- precompute ---------------------------------------------------
     //
@@ -475,9 +474,8 @@ TrainingSimulator::sweepNeighborhood(
     // compute tasks), its intra exchanges at the swept level (choice)
     // and below it (scaling), and the two adjacent inter exchanges
     // (which also read the neighbor's bit). Every task slot therefore
-    // has at most 4 variants; precompute them all with the exact
-    // arithmetic buildTasks uses, then score each mask by replaying the
-    // accumulator sequence below.
+    // has at most 4 variants; each row below holds them all, computed
+    // with the exact arithmetic buildTasks uses.
 
     const double num_accs = std::ldexp(1.0, static_cast<int>(levels));
     const double batch = static_cast<double>(comm.batch);
@@ -519,37 +517,18 @@ TrainingSimulator::sweepNeighborhood(
         return base.levels[h][l];
     };
 
-    auto make_exchange = [&](std::size_t h, double pair_bytes) {
-        Contrib c;
-        if (pair_bytes <= 0.0)
-            return c;
-        c.present = true;
-        c.seconds = topo_->exchangeSeconds(h, pair_bytes);
-        c.globalBytes =
-            pair_bytes * std::ldexp(1.0, static_cast<int>(h));
-        const double words = c.globalBytes / comm.wordBytes;
-        c.commJ = words * 2.0 * energy_.dramWordJ +
-                  energy_.linkEnergy(words, topo_->exchangeHops(h));
-        c.computeJ = words * energy_.addJ;
-        return c;
+    // Compute-task inputs of layer l with swept bit b: shards[2l + b].
+    struct Shard
+    {
+        double peSec = 0.0;
+        double computeJ = 0.0;
+        double sramJ = 0.0;
+        double dramBytes[3] = {}; //!< per phase
     };
-
-    // comp[(3*l + phase) * 2 + b]; bwd entries of layer 0 stay unused.
-    std::vector<Contrib> comp(num_layers * 3 * 2);
-    // intra slots: [(l * levels + h) * 2 + b]. A psum (gradx) slot
-    // stays absent unless the choice there is mp (dp).
-    std::vector<Contrib> psum(num_layers * levels * 2);
-    std::vector<Contrib> gradx(num_layers * levels * 2);
-    // inter slots of transition l -> l+1: [(l * levels + h) * 4 +
-    // (b_l + 2*b_next)], so (mask >> l) & 3 selects the variant
-    const std::size_t transitions = num_layers > 0 ? num_layers - 1 : 0;
-    std::vector<Contrib> featx(transitions * levels * 4);
-    std::vector<Contrib> errx(transitions * levels * 4);
-
+    std::vector<Shard> shards(2 * num_layers);
     for (std::size_t l = 0; l < num_layers; ++l) {
         const dnn::Layer &layer = net.layer(l);
-        const double macs =
-            net.layer(l).fwdMacsPerSample() * batch / num_accs;
+        const double macs = layer.fwdMacsPerSample() * batch / num_accs;
         for (int b = 0; b < 2; ++b) {
             // Shard geometry after all H splits, swept bit = b.
             const auto d_full = static_cast<int>(
@@ -569,164 +548,384 @@ TrainingSimulator::sweepNeighborhood(
 
             const auto map_batch = static_cast<std::size_t>(
                 std::max(1.0, std::floor(batch_shard)));
-            const double pe_sec =
-                mapper_.phaseSeconds(layer, map_batch, macs);
             const arch::Mapping mapping = mapper_.map(layer, map_batch);
-            const double compute_j =
-                num_accs * energy_.computeEnergy(macs);
-            const double sram_j = num_accs * energy_.sramEnergy(
+            Shard &s = shards[2 * l + static_cast<std::size_t>(b)];
+            s.peSec = mapper_.phaseSeconds(layer, map_batch, macs);
+            s.computeJ = num_accs * energy_.computeEnergy(macs);
+            s.sramJ = num_accs * energy_.sramEnergy(
                 macs * mapping.sramWordsPerMac);
-
-            const double dram_bytes[3] = {
+            s.dramBytes[kFwd] =
                 (in_shard * batch_shard + weight_shard + out_elems) *
-                    comm.wordBytes,
+                comm.wordBytes;
+            s.dramBytes[kBwd] =
                 (out_elems + weight_shard + in_shard * batch_shard) *
-                    comm.wordBytes,
-                (in_shard * batch_shard + out_elems +
-                 3.0 * weight_shard) * comm.wordBytes,
-            };
-            for (int phase = 0; phase < 3; ++phase) {
-                Contrib &c = comp[(3 * l + phase) * 2 + b];
-                c.present = true;
-                const double dram_sec =
-                    dram_bytes[phase] / acc_.dramBandwidth;
-                c.seconds =
-                    std::max(pe_sec, dram_sec) * options_.computeScale;
-                c.computeJ = compute_j;
-                c.sramJ = sram_j;
-                c.dramJ = num_accs * energy_.dramEnergy(
-                    dram_bytes[phase] / comm.wordBytes);
-            }
-
-            for (std::size_t h = 0; h < levels; ++h) {
-                if (choice(h, l, b) == core::Parallelism::kModel) {
-                    psum[(l * levels + h) * 2 + b] = make_exchange(
-                        h, model_->intraBytesAt(
-                               l, core::Parallelism::kModel,
-                               dp_above(h, l, b), mp_above(h, l, b)));
-                } else {
-                    gradx[(l * levels + h) * 2 + b] = make_exchange(
-                        h, model_->intraBytesAt(
-                               l, core::Parallelism::kData,
-                               dp_above(h, l, b), mp_above(h, l, b)));
-                }
-            }
-        }
-    }
-    for (std::size_t l = 0; l + 1 < num_layers; ++l) {
-        for (std::size_t h = 0; h < levels; ++h) {
-            for (int bl = 0; bl < 2; ++bl) {
-                for (int bn = 0; bn < 2; ++bn) {
-                    const std::size_t slot =
-                        (l * levels + h) * 4 +
-                        static_cast<std::size_t>(bl + 2 * bn);
-                    featx[slot] = make_exchange(
-                        h, model_->interBytesFAt(
-                               l, choice(h, l, bl),
-                               choice(h, l + 1, bn),
-                               dp_above(h, l, bl)));
-                    errx[slot] = make_exchange(
-                        h, model_->interBytesEAt(
-                               l, choice(h, l, bl),
-                               choice(h, l + 1, bn),
-                               dp_above(h, l + 1, bn)));
-                }
-            }
+                comm.wordBytes;
+            s.dramBytes[kGrad] = (in_shard * batch_shard + out_elems +
+                                  3.0 * weight_shard) *
+                                 comm.wordBytes;
         }
     }
 
     // ---- slot program -------------------------------------------------
     //
-    // The step's task slots in buildTasks' emission order, each pointing
-    // at its variants. A slot whose variants are all absent (an intra
+    // The step's task slots in buildTasks' emission order, each row
+    // filled variant by variant. A row no variant emits (an intra
     // exchange the base plan's choice never emits) is dropped. Labels
     // are slot functions, never of the mask, so under recordTrace one
-    // string per slot serves every visited plan.
-    const bool tracing = options_.recordTrace;
-    std::vector<SweepSlot> slots;
-    slots.reserve(num_layers * (3 + 4 * levels)); // upper bound
-    std::vector<std::string> labels;
-    auto add = [&](const Contrib *variants, std::size_t layer, bool pair,
-                   bool exchange, bool async, int phase, const char *tag,
-                   const std::string &name, std::size_t h) {
-        if (!std::any_of(variants, variants + (pair ? 4 : 2),
-                         [](const Contrib &c) { return c.present; }))
-            return;
-        slots.push_back({variants, static_cast<unsigned>(layer),
-                         pair ? 3u : 1u, exchange, async, phase});
-        if (tracing)
-            labels.push_back(std::string(tag) + ":" + name +
-                             (exchange ? "@H" + std::to_string(h + 1)
-                                       : std::string()));
+    // string per row serves every visited plan.
+    constexpr std::uint64_t kOn = ~std::uint64_t{0};
+    auto set_compute = [&](SweepRow &r, int b, int phase) {
+        const Shard &s = shards[2 * r.layer + static_cast<unsigned>(b)];
+        const double dram_sec = s.dramBytes[phase] / acc_.dramBandwidth;
+        r.present[b] = kOn;
+        r.seconds[b] = std::max(s.peSec, dram_sec) * options_.computeScale;
+        r.computeJ[b] = s.computeJ;
+        r.sramJOrBytes[b] = s.sramJ;
+        r.dramJOrCommJ[b] = num_accs * energy_.dramEnergy(
+            s.dramBytes[phase] / comm.wordBytes);
     };
-    const bool overlap = options_.overlapGradComm;
+    auto set_exchange = [&](SweepRow &r, int v, std::size_t h,
+                            double pair_bytes) {
+        if (pair_bytes <= 0.0)
+            return;
+        const double global_bytes =
+            pair_bytes * std::ldexp(1.0, static_cast<int>(h));
+        const double words = global_bytes / comm.wordBytes;
+        r.present[v] = kOn;
+        r.seconds[v] = topo_->exchangeSeconds(h, pair_bytes);
+        r.computeJ[v] = words * energy_.addJ;
+        r.sramJOrBytes[v] = global_bytes;
+        r.dramJOrCommJ[v] =
+            words * 2.0 * energy_.dramWordJ +
+            energy_.linkEnergy(words, topo_->exchangeHops(h));
+    };
+    auto row = [](std::size_t layer, unsigned bits, SweepRow::Kind kind,
+                  int phase) {
+        SweepRow r;
+        r.layer = static_cast<std::uint32_t>(layer);
+        r.bits = bits;
+        r.kind = kind;
+        r.phase = static_cast<std::uint8_t>(phase);
+        for (std::uint32_t j = 0; j < 4; ++j) {
+            const auto v = static_cast<std::int32_t>((j >> r.layer) & bits);
+            r.lanes[2 * j] = 2 * v;
+            r.lanes[2 * j + 1] = 2 * v + 1;
+        }
+        return r;
+    };
+
+    SweepProgram program;
+    program.numLayers = num_layers;
+    program.rows.reserve(num_layers * (3 + 4 * levels)); // upper bound
+    const bool tracing = options_.recordTrace;
+    auto emit = [&](const SweepRow &r, const char *tag,
+                    const std::string &name, std::size_t h) {
+        if (std::none_of(r.present, r.present + 4,
+                         [](std::uint64_t p) { return p != 0; }))
+            return;
+        program.rows.push_back(r);
+        if (tracing)
+            program.labels.push_back(
+                std::string(tag) + ":" + name +
+                (r.kind != SweepRow::Kind::kCompute
+                     ? "@H" + std::to_string(h + 1)
+                     : std::string()));
+    };
+    using Kind = SweepRow::Kind;
+    const Kind gradx_kind =
+        options_.overlapGradComm ? Kind::kAsyncExchange : Kind::kExchange;
+
     for (std::size_t l = 0; l < num_layers; ++l) {
         const std::string &name = net.layer(l).name;
-        add(&comp[(3 * l + kFwd) * 2], l, false, false, false, kFwd, "fwd",
-            name, 0);
+        SweepRow fwd = row(l, 1, Kind::kCompute, kFwd);
+        for (int b = 0; b < 2; ++b)
+            set_compute(fwd, b, kFwd);
+        emit(fwd, "fwd", name, 0);
         for (std::size_t h = 0; h < levels; ++h) {
-            add(&psum[(l * levels + h) * 2], l, false, true, false, kFwd,
-                "psum", name, h);
-            if (l + 1 < num_layers)
-                add(&featx[(l * levels + h) * 4], l, true, true, false,
-                    kFwd, "featx", name, h);
+            SweepRow psum = row(l, 1, Kind::kExchange, kFwd);
+            for (int b = 0; b < 2; ++b)
+                if (choice(h, l, b) == core::Parallelism::kModel)
+                    set_exchange(psum, b, h,
+                                 model_->intraBytesAt(
+                                     l, core::Parallelism::kModel,
+                                     dp_above(h, l, b),
+                                     mp_above(h, l, b)));
+            emit(psum, "psum", name, h);
+            if (l + 1 == num_layers)
+                continue;
+            SweepRow featx = row(l, 3, Kind::kExchange, kFwd);
+            for (int bl = 0; bl < 2; ++bl)
+                for (int bn = 0; bn < 2; ++bn)
+                    set_exchange(featx, bl + 2 * bn, h,
+                                 model_->interBytesFAt(
+                                     l, choice(h, l, bl),
+                                     choice(h, l + 1, bn),
+                                     dp_above(h, l, bl)));
+            emit(featx, "featx", name, h);
         }
     }
     for (std::size_t l = num_layers; l-- > 1;) {
         const std::string &name = net.layer(l).name;
-        add(&comp[(3 * l + kBwd) * 2], l, false, false, false, kBwd, "bwd",
-            name, 0);
-        for (std::size_t h = 0; h < levels; ++h)
-            add(&errx[((l - 1) * levels + h) * 4], l - 1, true, true, false,
-                kBwd, "errx", name, h);
+        SweepRow bwd = row(l, 1, Kind::kCompute, kBwd);
+        for (int b = 0; b < 2; ++b)
+            set_compute(bwd, b, kBwd);
+        emit(bwd, "bwd", name, 0);
+        for (std::size_t h = 0; h < levels; ++h) {
+            SweepRow errx = row(l - 1, 3, Kind::kExchange, kBwd);
+            for (int bl = 0; bl < 2; ++bl)
+                for (int bn = 0; bn < 2; ++bn)
+                    set_exchange(errx, bl + 2 * bn, h,
+                                 model_->interBytesEAt(
+                                     l - 1, choice(h, l - 1, bl),
+                                     choice(h, l, bn),
+                                     dp_above(h, l, bn)));
+            emit(errx, "errx", name, h);
+        }
     }
     for (std::size_t l = 0; l < num_layers; ++l) {
         const std::string &name = net.layer(l).name;
-        add(&comp[(3 * l + kGrad) * 2], l, false, false, false, kGrad,
-            "grad", name, 0);
-        for (std::size_t h = 0; h < levels; ++h)
-            add(&gradx[(l * levels + h) * 2], l, false, true, overlap, kGrad,
-                "gradx", name, h);
+        SweepRow grad = row(l, 1, Kind::kCompute, kGrad);
+        for (int b = 0; b < 2; ++b)
+            set_compute(grad, b, kGrad);
+        emit(grad, "grad", name, 0);
+        for (std::size_t h = 0; h < levels; ++h) {
+            SweepRow gradx = row(l, 1, gradx_kind, kGrad);
+            for (int b = 0; b < 2; ++b)
+                if (choice(h, l, b) == core::Parallelism::kData)
+                    set_exchange(gradx, b, h,
+                                 model_->intraBytesAt(
+                                     l, core::Parallelism::kData,
+                                     dp_above(h, l, b),
+                                     mp_above(h, l, b)));
+            emit(gradx, "gradx", name, h);
+        }
     }
+    return program;
+}
 
-    // ---- per-mask replay ----------------------------------------------
-    //
-    // Each mask selects one variant per slot and replays the slots with
-    // the same StepMetrics additions the task-list path performs,
-    // scheduled through the same Tapes::advance. The accumulation order
-    // never changes, so every mask's StepMetrics (and trace) is
-    // bit-identical to a full simulate() with and without
-    // overlapGradComm.
-    for (std::uint64_t mask = 0; mask < num_masks; ++mask) {
+// ---- per-mask replay ----------------------------------------------------
+//
+// Each mask selects one variant per row and replays the rows with the
+// same StepMetrics additions the task-list path performs, scheduled
+// through the same two-clock algebra. The accumulation order never
+// changes, so every mask's StepMetrics (and trace) is bit-identical to
+// a full simulate() with and without overlapGradComm.
+
+void
+sweepMasksScalar(const SweepProgram &program, std::uint64_t first,
+                 std::uint64_t last, const SweepVisit &visit,
+                 std::vector<TraceEntry> *trace)
+{
+    HYPAR_ASSERT(first <= last && last <= program.numMasks(),
+                 "sweepMasksScalar: mask range out of bounds");
+    HYPAR_ASSERT(trace == nullptr ||
+                     program.labels.size() == program.rows.size(),
+                 "sweepMasksScalar: a trace needs a recordTrace program");
+    for (std::uint64_t mask = first; mask < last; ++mask) {
         StepMetrics m;
         Tapes tapes;
-        if (tracing)
-            trace_.clear();
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            const SweepSlot &s = slots[i];
-            const Contrib &c = s.variants[(mask >> s.layer) & s.bits];
-            if (!c.present)
+        if (trace != nullptr)
+            trace->clear();
+        for (std::size_t i = 0; i < program.rows.size(); ++i) {
+            const SweepRow &r = program.rows[i];
+            const auto v = static_cast<unsigned>(mask >> r.layer) & r.bits;
+            if (r.present[v] == 0)
                 continue;
-            m.energy.computeJ += c.computeJ;
-            if (s.exchange) {
-                m.commBytes += c.globalBytes;
-                m.energy.commJ += c.commJ;
-                m.networkBusySeconds += c.seconds;
+            const double seconds = r.seconds[v];
+            const bool exchange = r.kind != SweepRow::Kind::kCompute;
+            m.energy.computeJ += r.computeJ[v];
+            if (exchange) {
+                m.commBytes += r.sramJOrBytes[v];
+                m.energy.commJ += r.dramJOrCommJ[v];
+                m.networkBusySeconds += seconds;
             } else {
-                m.energy.sramJ += c.sramJ;
-                m.energy.dramJ += c.dramJ;
-                m.computeBusySeconds += c.seconds;
+                m.energy.sramJ += r.sramJOrBytes[v];
+                m.energy.dramJ += r.dramJOrCommJ[v];
+                m.computeBusySeconds += seconds;
             }
-            addPhaseSeconds(m.phases, s.phase, c.seconds);
-            const double start =
-                tapes.advance(c.seconds, s.exchange, s.async);
-            if (tracing)
-                trace_.push_back(
-                    TraceEntry{start, start + c.seconds, labels[i]});
+            addPhaseSeconds(m.phases, r.phase, seconds);
+            const double start = tapes.advance(
+                seconds, exchange, r.kind == SweepRow::Kind::kAsyncExchange);
+            if (trace != nullptr)
+                trace->push_back(
+                    TraceEntry{start, start + seconds, program.labels[i]});
         }
         m.stepSeconds = tapes.drained();
         visit(mask, m);
     }
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+
+namespace {
+
+// AVX2 only — no FMA, so no multiply-add can be contracted and every
+// lane performs the scalar kernel's IEEE operations.
+
+/** std::max(a, b) per lane: b where a < b, else a — the same operand
+ *  std::max returns, also for signed zeros and NaNs. */
+__attribute__((target("avx2"))) inline __m256d
+stdMax(__m256d a, __m256d b)
+{
+    return _mm256_blendv_pd(a, b, _mm256_cmp_pd(a, b, _CMP_LT_OQ));
+}
+
+/** One 4-mask group's StepMetrics and tapes, lane j = mask group + j. */
+struct LaneState
+{
+    __m256d computeJ, sramJ, dramJ, commJ, commBytes;
+    __m256d computeBusy, networkBusy, forward, backward, gradient;
+    __m256d serial, network;
+};
+
+/**
+ * acc + x in the lanes where `on` is set; the other lanes keep acc.
+ * kAllOn (every lane runs a present variant) drops the blend.
+ */
+template <bool kAllOn>
+__attribute__((target("avx2"), always_inline)) inline void
+addWhere(__m256d &acc, __m256d x, __m256d on)
+{
+    const __m256d sum = _mm256_add_pd(acc, x);
+    acc = kAllOn ? sum : _mm256_blendv_pd(acc, sum, on);
+}
+
+/** The scalar kernel's row step, lane by lane, on selected variants. */
+template <bool kAllOn>
+__attribute__((target("avx2"), always_inline)) inline void
+replayRow(LaneState &s, const SweepRow &r, __m256d seconds,
+          __m256d compute_j, __m256d sram_j_or_bytes,
+          __m256d dram_j_or_comm_j, __m256d on)
+{
+    addWhere<kAllOn>(s.computeJ, compute_j, on);
+    if (r.kind == SweepRow::Kind::kCompute) {
+        addWhere<kAllOn>(s.sramJ, sram_j_or_bytes, on);
+        addWhere<kAllOn>(s.dramJ, dram_j_or_comm_j, on);
+        addWhere<kAllOn>(s.computeBusy, seconds, on);
+    } else {
+        addWhere<kAllOn>(s.commBytes, sram_j_or_bytes, on);
+        addWhere<kAllOn>(s.commJ, dram_j_or_comm_j, on);
+        addWhere<kAllOn>(s.networkBusy, seconds, on);
+    }
+    switch (r.phase) {
+      case kFwd:
+        addWhere<kAllOn>(s.forward, seconds, on);
+        break;
+      case kBwd:
+        addWhere<kAllOn>(s.backward, seconds, on);
+        break;
+      default:
+        addWhere<kAllOn>(s.gradient, seconds, on);
+        break;
+    }
+    // Tapes::advance. A lane whose variant is absent keeps both clocks:
+    // even a zero-second synchronous exchange would join them.
+    switch (r.kind) {
+      case SweepRow::Kind::kCompute:
+        addWhere<kAllOn>(s.serial, seconds, on);
+        break;
+      case SweepRow::Kind::kAsyncExchange: {
+        __m256d start = stdMax(s.network, s.serial);
+        addWhere<true>(start, seconds, on);
+        s.network = kAllOn ? start : _mm256_blendv_pd(s.network, start, on);
+        break;
+      }
+      case SweepRow::Kind::kExchange: {
+        __m256d end = stdMax(s.serial, s.network);
+        addWhere<true>(end, seconds, on);
+        s.serial = kAllOn ? end : _mm256_blendv_pd(s.serial, end, on);
+        s.network = kAllOn ? end : _mm256_blendv_pd(s.network, end, on);
+        break;
+      }
+    }
+}
+
+/** Lane j of the result = the variant of 4 whose two dwords idx picks. */
+__attribute__((target("avx2"))) inline __m256d
+pickLanes(const void *variants, __m256i idx)
+{
+    return _mm256_castps_pd(_mm256_permutevar8x32_ps(
+        _mm256_loadu_ps(static_cast<const float *>(variants)), idx));
+}
+
+} // namespace
+
+__attribute__((target("avx2"))) void
+sweepMasksAvx2(const SweepProgram &program, std::uint64_t first,
+               std::uint64_t last, const SweepVisit &visit)
+{
+    HYPAR_ASSERT(first <= last && last <= program.numMasks() &&
+                     first % 4 == 0 && last % 4 == 0,
+                 "sweepMasksAvx2: mask range must be whole 4-mask groups");
+    const __m256d zero = _mm256_setzero_pd();
+    for (std::uint64_t group = first; group < last; group += 4) {
+        LaneState s{zero, zero, zero, zero, zero, zero,
+                    zero, zero, zero, zero, zero, zero};
+        for (const SweepRow &r : program.rows) {
+            const auto high = static_cast<unsigned>(group >> r.layer) & r.bits;
+            if (r.layer >= 2) {
+                // The lane bits are below the slot's layer: all four
+                // lanes run variant `high`, present or not.
+                if (r.present[high] == 0)
+                    continue;
+                replayRow<true>(s, r, _mm256_set1_pd(r.seconds[high]),
+                                _mm256_set1_pd(r.computeJ[high]),
+                                _mm256_set1_pd(r.sramJOrBytes[high]),
+                                _mm256_set1_pd(r.dramJOrCommJ[high]), zero);
+                continue;
+            }
+            // Lane j's variant: the slot's lane pattern plus the
+            // group's high part (disjoint bits, so + is |).
+            const __m256i idx = _mm256_add_epi32(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(r.lanes)),
+                _mm256_set1_epi32(static_cast<int>(2 * high)));
+            replayRow<false>(s, r, pickLanes(r.seconds, idx),
+                             pickLanes(r.computeJ, idx),
+                             pickLanes(r.sramJOrBytes, idx),
+                             pickLanes(r.dramJOrCommJ, idx),
+                             pickLanes(r.present, idx));
+        }
+
+        alignas(32) double lanes[11][4];
+        _mm256_store_pd(lanes[0], stdMax(s.serial, s.network));
+        _mm256_store_pd(lanes[1], s.computeBusy);
+        _mm256_store_pd(lanes[2], s.networkBusy);
+        _mm256_store_pd(lanes[3], s.commBytes);
+        _mm256_store_pd(lanes[4], s.forward);
+        _mm256_store_pd(lanes[5], s.backward);
+        _mm256_store_pd(lanes[6], s.gradient);
+        _mm256_store_pd(lanes[7], s.computeJ);
+        _mm256_store_pd(lanes[8], s.sramJ);
+        _mm256_store_pd(lanes[9], s.dramJ);
+        _mm256_store_pd(lanes[10], s.commJ);
+        for (int j = 0; j < 4; ++j) {
+            StepMetrics m;
+            m.stepSeconds = lanes[0][j];
+            m.computeBusySeconds = lanes[1][j];
+            m.networkBusySeconds = lanes[2][j];
+            m.commBytes = lanes[3][j];
+            m.phases.forward = lanes[4][j];
+            m.phases.backward = lanes[5][j];
+            m.phases.gradient = lanes[6][j];
+            m.energy.computeJ = lanes[7][j];
+            m.energy.sramJ = lanes[8][j];
+            m.energy.dramJ = lanes[9][j];
+            m.energy.commJ = lanes[10][j];
+            visit(group + static_cast<std::uint64_t>(j), m);
+        }
+    }
+}
+
+#else
+
+void
+sweepMasksAvx2(const SweepProgram &program, std::uint64_t first,
+               std::uint64_t last, const SweepVisit &visit)
+{
+    sweepMasksScalar(program, first, last, visit); // never selected off x86
+}
+
+#endif
 
 } // namespace hypar::sim

@@ -28,10 +28,12 @@
  * start at max(network, serial), synchronous exchanges join the two.
  * training_sim.cc writes that algebra once (its private Tapes) and
  * every entry point here — simulate, simulateSteadyState,
- * overlapSchedule, sweepNeighborhood — schedules through it. The
- * discrete-event queue that resolves the same schedule event by event
- * lives in tests/support/ as the oracle that pins the closed form
- * (tests/test_queue_oracle.cc).
+ * overlapSchedule, sweepNeighborhood's scalar kernel — schedules
+ * through it; the AVX2 sweep kernel replays the same algebra in four
+ * lanes and is pinned to the scalar kernel bit for bit
+ * (tests/test_sweep_lanes.cc). The discrete-event queue that resolves
+ * the same schedule event by event lives in tests/support/ as the
+ * oracle that pins the closed form (tests/test_queue_oracle.cc).
  */
 
 #ifndef HYPAR_SIM_TRAINING_SIM_HH
@@ -122,6 +124,69 @@ struct TapeSchedule
     double stepSeconds = 0.0;    //!< max task end == simulate()'s
 };
 
+/**
+ * One task slot of a swept step (TrainingSimulator::sweepProgram) in
+ * lane layout: its up-to-4 variants side by side, so the AVX2 kernel
+ * selects all four lanes' variants with one in-register permute. Mask
+ * m runs variant (m >> layer) & bits. Lane j of a 4-mask group g
+ * (g a multiple of 4) therefore runs ((g >> layer) & bits) |
+ * ((j >> layer) & bits): a scalar high part plus the slot-constant
+ * lane pattern `lanes`.
+ */
+struct SweepRow
+{
+    enum class Kind : std::uint8_t { kCompute, kExchange, kAsyncExchange };
+
+    double seconds[4] = {};
+    double computeJ[4] = {}; //!< MACs, or an exchange's reduction adds
+    double sramJOrBytes[4] = {}; //!< compute: sramJ; exchange: bytes
+    double dramJOrCommJ[4] = {}; //!< compute: dramJ; exchange: commJ
+    /** All ones when the variant emits a task (addExchange skips zero
+     *  bytes), zero when it does not. */
+    std::uint64_t present[4] = {};
+    /** permutevar8x32 dword indices of lane j's variant for a zero
+     *  high part: 2v and 2v + 1 with v = (j >> layer) & bits. */
+    std::int32_t lanes[8] = {};
+    std::uint32_t layer = 0; //!< variant = (mask >> layer) & bits
+    std::uint32_t bits = 1;  //!< 1, or 3 for an inter exchange
+    Kind kind = Kind::kCompute;
+    std::uint8_t phase = 0; //!< 0 fwd, 1 bwd, 2 grad
+};
+
+/** A chain sweep's slot program: every task slot, in emission order. */
+struct SweepProgram
+{
+    std::vector<SweepRow> rows;
+    std::vector<std::string> labels; //!< per row, under recordTrace only
+    std::size_t numLayers = 0;
+
+    /** Masks 0 .. numMasks() - 1 select one variant per row. */
+    std::uint64_t numMasks() const { return std::uint64_t{1} << numLayers; }
+};
+
+using SweepVisit =
+    std::function<void(std::uint64_t, const StepMetrics &)>;
+
+/**
+ * The sweep's kernel pair. Both replay `program` for the masks in
+ * [first, last), in ascending order, and visit StepMetrics
+ * bit-identical to simulate() of the substituted plan. The scalar
+ * kernel schedules one mask at a time through the two-clock algebra
+ * and, given `trace`, refills it per mask. The AVX2 kernel scores
+ * masks 4k..4k+3 in the four lanes with the same IEEE additions in
+ * the same order; a lane whose variant is absent keeps its old values
+ * (a blend, never an add of zero), and std::max(a, b) is a blend of b
+ * over a where a < b. It needs avx2Available() and `first`, `last`
+ * multiples of 4. TrainingSimulator::sweepNeighborhood picks the
+ * pair's member through core::simd::activeKernels(), so
+ * HYPAR_SIMD=scalar pins the scalar kernel.
+ */
+void sweepMasksScalar(const SweepProgram &program, std::uint64_t first,
+                      std::uint64_t last, const SweepVisit &visit,
+                      std::vector<TraceEntry> *trace = nullptr);
+void sweepMasksAvx2(const SweepProgram &program, std::uint64_t first,
+                    std::uint64_t last, const SweepVisit &visit);
+
 /** Simulates training steps for one (network, array, topology) triple. */
 class TrainingSimulator
 {
@@ -172,28 +237,40 @@ class TrainingSimulator
      * per-plan state. Flipping one layer's choice at one level changes
      * at most two values of every task in the step (its own bit for
      * compute/intra tasks, the two endpoint bits for inter exchanges),
-     * so all task-slot contributions are precomputed once and each
-     * mask's StepMetrics is a straight replay of the simulator's exact
-     * floating-point accumulation order over the selected variants —
-     * bit-identical to a full simulate() of the substituted plan
-     * (enforced by tests/test_evaluator_batch.cc).
+     * so every task slot's variants are precomputed once into the
+     * sweepProgram() rows and each mask's StepMetrics is a straight
+     * replay of the simulator's exact floating-point accumulation
+     * order over the selected variants — bit-identical to a full
+     * simulate() of the substituted plan (enforced by
+     * tests/test_evaluator_batch.cc and tests/test_sweep_lanes.cc).
      *
      * Each mask schedules the selected variants through the same
      * two-clock algebra as simulate(), so under
      * SimOptions::overlapGradComm the async schedule is swept
-     * incrementally too — still bit-identical to per-mask simulate().
-     * Under recordTrace the replay also emits the per-task trace from
-     * the variant tables (labels are slot functions, start/end come
-     * from the tapes), so lastTrace() after each visit — and after the
-     * sweep — matches a direct simulate() of that mask's plan exactly.
-     * Non-chain (DAG) networks are scored by one simulate() per mask.
-     * Fatal when `level` is out of range or the network has more than
-     * 24 weighted layers (2^L enumeration).
+     * incrementally too. Four consecutive masks share the program's
+     * control flow, so with AVX2 (core::simd::activeKernels()) they
+     * are scored together by sweepMasksAvx2; the scalar kernel serves
+     * HYPAR_SIMD=scalar, CPUs without AVX2, sweeps of fewer than four
+     * masks, and recordTrace. Under recordTrace the replay also emits
+     * the per-task trace from the rows (labels are slot functions,
+     * start/end come from the tapes), so lastTrace() after each visit
+     * — and after the sweep — matches a direct simulate() of that
+     * mask's plan exactly. Non-chain (DAG) networks are scored by one
+     * simulate() per mask. Fatal when `level` is out of range or the
+     * network has more than 24 weighted layers (2^L enumeration).
      */
-    void sweepNeighborhood(
-        const core::HierarchicalPlan &base, std::size_t level,
-        const std::function<void(std::uint64_t, const StepMetrics &)>
-            &visit) const;
+    void sweepNeighborhood(const core::HierarchicalPlan &base,
+                           std::size_t level,
+                           const SweepVisit &visit) const;
+
+    /**
+     * The slot program sweepNeighborhood replays for a chain network:
+     * one SweepRow per task slot that some mask emits. Exposed so
+     * tests can run both sweep kernels on it directly. Fatal on the
+     * sweepNeighborhood argument errors and on non-chain networks.
+     */
+    SweepProgram sweepProgram(const core::HierarchicalPlan &base,
+                              std::size_t level) const;
 
     /**
      * The two-tape chain decomposition of one step of `plan` under the
@@ -236,6 +313,10 @@ class TrainingSimulator
      * the table cap.
      */
     unsigned dpAbove(std::uint32_t state, std::size_t h) const;
+
+    /** Fatal on the argument errors shared by the sweep entry points. */
+    void validateSweep(const core::HierarchicalPlan &base,
+                       std::size_t level) const;
 
     void addExchange(std::vector<TapeTask> &tasks, std::size_t level,
                      double pair_bytes, bool async, int phase,

@@ -106,9 +106,10 @@ TEST(SimdKernels, ExpandLevelMatchesReferenceAndAvx2)
         }
         for (std::size_t s = 0; s < states; ++s) {
             EXPECT_EQ(ref[s], scl[s]) << "H=" << levels << " s=" << s;
-            if (avx2Available())
+            if (avx2Available()) {
                 EXPECT_EQ(ref[s], vec[s])
                     << "H=" << levels << " s=" << s;
+            }
         }
     }
 }
