@@ -236,22 +236,26 @@ avx2Kernels()
 #endif
 }
 
+bool
+scalarPinned()
+{
+    // HYPAR_SIMD=scalar pins every portable kernel — the lever for
+    // engine-level before/after bench rows and for forcing the
+    // portable path on a machine whose vector units are suspect. Unset
+    // (the normal case) or any other value means best-available.
+    static const bool pinned = [] {
+        const char *force = std::getenv("HYPAR_SIMD");
+        return force != nullptr && std::strcmp(force, "scalar") == 0;
+    }();
+    return pinned;
+}
+
 const Kernels &
 activeKernels()
 {
-    // HYPAR_SIMD=scalar|avx2 pins the set (and with it the sweep
-    // kernel) — the lever for engine-level before/after bench rows and
-    // for forcing the portable path on a machine whose AVX2 is suspect. Unset (the normal case) means
-    // best-available. avx2 without hardware support falls back to
-    // scalar rather than faulting.
-    static const Kernels &chosen = [&]() -> const Kernels & {
-        const char *force = std::getenv("HYPAR_SIMD");
-        if (force != nullptr && std::strcmp(force, "scalar") == 0)
-            return scalarKernels();
-        if (force != nullptr && std::strcmp(force, "avx2") == 0)
-            return avx2Available() ? avx2Kernels() : scalarKernels();
-        return avx2Available() ? avx2Kernels() : scalarKernels();
-    }();
+    static const Kernels &chosen =
+        !scalarPinned() && avx2Available() ? avx2Kernels()
+                                           : scalarKernels();
     return chosen;
 }
 

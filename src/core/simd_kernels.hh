@@ -97,7 +97,16 @@ bool avx2Available();
  */
 const Kernels &avx2Kernels();
 
-/** avx2Kernels() when supported, scalarKernels() otherwise. */
+/**
+ * True when HYPAR_SIMD=scalar pins the portable kernels. The variable
+ * is read here only, once per process; every runtime-dispatched kernel
+ * in the tree (these sets, the sweep lanes, the SHA-256 compression in
+ * serve/sha256.hh) consults this.
+ */
+bool scalarPinned();
+
+/** avx2Kernels() when supported and not scalarPinned(),
+ *  scalarKernels() otherwise. */
 const Kernels &activeKernels();
 
 } // namespace hypar::core::simd

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include <unistd.h>
 
@@ -262,24 +263,77 @@ PlanCache::quarantine(const fs::path &path)
     }
 }
 
-template <typename Result, typename Decode>
-std::optional<Result>
-PlanCache::lookupEntry(const fs::path &path, const std::string &hash,
-                       const Decode &decode)
+namespace {
+
+/** The memo key, error-message name and decoder of one entry kind. */
+template <typename Result>
+struct EntryKind;
+
+template <>
+struct EntryKind<core::HierarchicalResult>
 {
+    static constexpr const char *kWhat = "plan";
+    static const std::string &key(const std::string &hash) { return hash; }
+    static constexpr auto decode = decodeEntry;
+};
+
+template <>
+struct EntryKind<SweepResult>
+{
+    static constexpr const char *kWhat = "sweep";
+    static std::string key(const std::string &hash)
+    {
+        return hash + ".sweep";
+    }
+    static constexpr auto decode = decodeSweepEntry;
+};
+
+} // namespace
+
+template <typename Result>
+std::optional<Result>
+PlanCache::read(const std::string &hash, bool record)
+{
+    using Kind = EntryKind<Result>;
+    if (!enabled_) {
+        if (record) {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.misses;
+        }
+        return std::nullopt;
+    }
+    if (!validHash(hash))
+        util::fatal(std::string(Kind::kWhat) + " cache: malformed " +
+                    Kind::kWhat + " hash '" + hash + "'");
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (auto it = memo_.find(Kind::key(hash)); it != memo_.end()) {
+            if (record)
+                ++stats_.hits;
+            return std::get<Result>(it->second);
+        }
+    }
+
     // Published entries are immutable (a store renames a complete file
     // into place), so the read and the decode need no lock; only the
-    // counters and the quarantine rename do.
+    // memo, the counters and the quarantine rename do.
+    const fs::path path = std::is_same_v<Result, SweepResult>
+                              ? sweepPath(hash)
+                              : entryPath(hash);
     std::optional<Result> result;
     bool corrupt = false;
     if (std::optional<std::string> text = readFile(path)) {
         try {
-            result = decode(*text, hash);
+            result = Kind::decode(*text, hash);
         } catch (const util::FatalError &) {
             corrupt = true;
         }
     }
     std::lock_guard<std::mutex> lock(mu_);
+    if (result)
+        remember(Kind::key(hash), *result);
+    if (!record)
+        return result;
     if (corrupt)
         quarantine(path);
     if (result)
@@ -292,30 +346,51 @@ PlanCache::lookupEntry(const fs::path &path, const std::string &hash,
 std::optional<core::HierarchicalResult>
 PlanCache::lookup(const std::string &planHash)
 {
-    if (!enabled_) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    if (!validHash(planHash))
-        util::fatal("plan cache: malformed plan hash '" + planHash + "'");
-    return lookupEntry<core::HierarchicalResult>(entryPath(planHash),
-                                                 planHash, decodeEntry);
+    return read<core::HierarchicalResult>(planHash, true);
 }
 
 std::optional<SweepResult>
 PlanCache::lookupSweep(const std::string &sweepHash)
 {
-    if (!enabled_) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.misses;
-        return std::nullopt;
+    return read<SweepResult>(sweepHash, true);
+}
+
+std::optional<core::HierarchicalResult>
+PlanCache::probe(const std::string &planHash)
+{
+    return read<core::HierarchicalResult>(planHash, false);
+}
+
+std::optional<SweepResult>
+PlanCache::probeSweep(const std::string &sweepHash)
+{
+    return read<SweepResult>(sweepHash, false);
+}
+
+void
+PlanCache::recordHits(std::size_t n)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.hits += n;
+}
+
+std::size_t
+PlanCache::memoSize() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return memo_.size();
+}
+
+void
+PlanCache::remember(std::string key, MemoEntry entry)
+{
+    if (!memo_.try_emplace(key, std::move(entry)).second)
+        return; // content-addressed: the held result is the same
+    memoOrder_.push_back(std::move(key));
+    if (memoOrder_.size() > kMemoCapacity) {
+        memo_.erase(memoOrder_.front());
+        memoOrder_.pop_front();
     }
-    if (!validHash(sweepHash))
-        util::fatal("sweep cache: malformed sweep hash '" + sweepHash +
-                    "'");
-    return lookupEntry<SweepResult>(sweepPath(sweepHash), sweepHash,
-                                    decodeSweepEntry);
 }
 
 std::string
@@ -378,26 +453,39 @@ PlanCache::publish(const fs::path &final, const std::string &payload)
     return ok;
 }
 
+template <typename Result>
+bool
+PlanCache::write(const std::string &hash, const Result &result)
+{
+    using Kind = EntryKind<Result>;
+    if (!enabled_)
+        return false;
+    if (!validHash(hash))
+        util::fatal(std::string(Kind::kWhat) + " cache: malformed " +
+                    Kind::kWhat + " hash '" + hash + "'");
+    bool ok;
+    if constexpr (std::is_same_v<Result, SweepResult>)
+        ok = publish(sweepPath(hash), sweepEntryJson(hash, result));
+    else
+        ok = publish(entryPath(hash), entryJson(hash, result));
+    if (ok) {
+        std::lock_guard<std::mutex> lock(mu_);
+        remember(Kind::key(hash), result);
+    }
+    return ok;
+}
+
 bool
 PlanCache::store(const std::string &planHash,
                  const core::HierarchicalResult &result)
 {
-    if (!enabled_)
-        return false;
-    if (!validHash(planHash))
-        util::fatal("plan cache: malformed plan hash '" + planHash + "'");
-    return publish(entryPath(planHash), entryJson(planHash, result));
+    return write(planHash, result);
 }
 
 bool
 PlanCache::storeSweep(const std::string &sweepHash, const SweepResult &r)
 {
-    if (!enabled_)
-        return false;
-    if (!validHash(sweepHash))
-        util::fatal("sweep cache: malformed sweep hash '" + sweepHash +
-                    "'");
-    return publish(sweepPath(sweepHash), sweepEntryJson(sweepHash, r));
+    return write(sweepHash, r);
 }
 
 std::string
@@ -440,6 +528,8 @@ std::size_t
 PlanCache::evict()
 {
     std::lock_guard<std::mutex> lock(mu_);
+    memo_.clear();
+    memoOrder_.clear();
     std::error_code ec;
     if (!fs::exists(dir_, ec) || ec)
         return 0;

@@ -40,14 +40,36 @@
  * atomic-rename / evict machinery. The hit/miss/store/quarantine
  * counters are shared across both entry kinds.
  *
- * Thread safety: the server's parallel request groups may look up and
- * store concurrently. Reads take no lock: a published entry is
- * immutable once renamed into place, so lookups read and decode it
- * outside the internal mutex, which guards only the counters, the
- * quarantine rename and evict(). Writes stage into unique files, so
- * they need no lock either until the counter update. Counter totals
- * still only make sense at the server's serial points. Cross-*process*
- * safety comes from the unique staging names and the atomic rename
+ * In-memory memo: a bounded map from the 64-hex plan/sweep hash to
+ * the decoded result sits in front of the disk. lookup(),
+ * lookupSweep() and the probes read it first, so a repeated hit costs
+ * a map read and a copy instead of a file read and a JSON decode.
+ *
+ *  - Only a clean disk decode or a successful publish inserts an
+ *    entry; a failed store (bypass) and a disabled cache never do.
+ *  - It holds at most kMemoCapacity entries and drops the
+ *    oldest-inserted one first; evict() clears it.
+ *  - Entries are content-addressed and immutable, so a memo hit
+ *    returns exactly the bits a disk hit would decode to. The memo is
+ *    per process: another process's `--evict` (or a file deleted by
+ *    hand) does not clear it, and this server keeps answering those
+ *    keys from memory until its own evict or the cap drops them.
+ *
+ * Probes: probe()/probeSweep() read like lookup() but have no
+ * visible side effect. They count nothing and quarantine nothing, and
+ * a corrupt entry reads as a probe miss. The server probes every
+ * `plan`/`sweep` at admission and counts the hits it accepts through
+ * recordHits().
+ *
+ * Thread safety: the server's parallel admission pass probes, and its
+ * parallel request groups look up and store, concurrently. Disk reads
+ * take no lock: a published entry is immutable once renamed into
+ * place, so lookups read and decode it outside the internal mutex,
+ * which guards the memo, the counters, the quarantine rename and
+ * evict(). Writes stage into unique files, so they need no lock
+ * either until the memo and counter update. Counter totals still only
+ * make sense at the server's serial points. Cross-*process* safety
+ * comes from the unique staging names and the atomic rename
  * (concurrent servers may redundantly re-plan, never corrupt).
  */
 
@@ -56,10 +78,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <variant>
 
 #include "core/hierarchical_partitioner.hh"
 #include "sim/metrics.hh"
@@ -77,6 +102,15 @@ inline constexpr const char *kPlanCacheFormat = "hyparc-plan-cache";
 
 /** Format tag every sweep entry must carry. */
 inline constexpr const char *kSweepCacheFormat = "hyparc-sweep-cache";
+
+/**
+ * Most decoded results (plans and sweeps together) the in-memory memo
+ * keeps. 1024 is 16x the 64-context working set of servebench's
+ * `plan_hit` workload. The cap counts entries, not bytes: an entry is
+ * one plan (layers x levels parallelism choices) or one sweep argmin,
+ * about a kilobyte or less for a zoo network.
+ */
+inline constexpr std::size_t kMemoCapacity = 1024;
 
 /** Lookup/store counters (reported by the server's `stats` op). */
 struct PlanCacheStats
@@ -102,6 +136,8 @@ struct SweepResult
 
 class PlanCache
 {
+    using MemoEntry = std::variant<core::HierarchicalResult, SweepResult>;
+
   public:
     /**
      * A cache over `dir` (created lazily on first store). `enabled`
@@ -141,9 +177,24 @@ class PlanCache
      *  return value as store()). */
     bool storeSweep(const std::string &sweepHash, const SweepResult &r);
 
-    /** Delete every entry (including .tmp/.quarantine debris); returns
-     *  the number of files removed. Works even when disabled — eviction
-     *  is an explicit administrative request. */
+    /** lookup() without side effects: counts nothing, quarantines
+     *  nothing (a corrupt entry is a nullopt). */
+    std::optional<core::HierarchicalResult>
+    probe(const std::string &planHash);
+
+    /** lookupSweep() without side effects, like probe(). */
+    std::optional<SweepResult> probeSweep(const std::string &sweepHash);
+
+    /** Count `n` probe hits the caller accepted as answers. */
+    void recordHits(std::size_t n);
+
+    /** Results the in-memory memo holds (for tests). */
+    std::size_t memoSize() const;
+
+    /** Delete every entry (including .tmp/.quarantine debris) and
+     *  clear the memo; returns the number of files removed. Works even
+     *  when disabled — eviction is an explicit administrative
+     *  request. */
     std::size_t evict();
 
     /** Serialize a result to the entry JSON (exposed for tests). */
@@ -164,17 +215,27 @@ class PlanCache
     std::filesystem::path sweepPath(const std::string &sweepHash) const;
     /** Caller holds mu_. */
     void quarantine(const std::filesystem::path &path);
-    template <typename Result, typename Decode>
-    std::optional<Result> lookupEntry(const std::filesystem::path &path,
-                                      const std::string &hash,
-                                      const Decode &decode);
+    /** lookup()/lookupSweep() (`record` true) and the probes. */
+    template <typename Result>
+    std::optional<Result> read(const std::string &hash, bool record);
+    /** store()/storeSweep(): publish, then remember. */
+    template <typename Result>
+    bool write(const std::string &hash, const Result &result);
     bool publish(const std::filesystem::path &final,
                  const std::string &payload);
+    /** Insert into the memo, dropping the oldest entry past
+     *  kMemoCapacity. Caller holds mu_. */
+    void remember(std::string key, MemoEntry entry);
 
     std::filesystem::path dir_;
     bool enabled_;
-    std::mutex mu_; //!< guards stats_, quarantine renames and evict()
+    /** Guards stats_, the memo, quarantine renames and evict(). */
+    mutable std::mutex mu_;
     PlanCacheStats stats_;
+    /** Plans keyed by hash, sweeps by hash + ".sweep" (one hash may
+     *  name both kinds of entry, as on disk). */
+    std::unordered_map<std::string, MemoEntry> memo_;
+    std::deque<std::string> memoOrder_; //!< keys, oldest first
 };
 
 } // namespace hypar::serve

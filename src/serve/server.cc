@@ -62,9 +62,12 @@ struct Pending
     std::optional<dnn::Network> network; //!< Network has no default ctor
     sim::SimConfig config;
     std::optional<ContextKey> key; //!< the context, canonicalized once
+    std::string hash;                //!< plan/sweep: the cache key
     core::HierarchicalPlan evalPlan; //!< evaluate: the plan to score
     bool coalesce = false;           //!< joins a shared evaluateBatch
-    bool done = false;               //!< response already written
+    bool probeHit = false; //!< plan/sweep: answered from the cache at
+                           //!< admission, pending the serial fold
+    bool done = false;     //!< response already written
     bool errored = false;     //!< folded into ServeStats::errors at a
                               //!< serial point (never touched in a
                               //!< pool body — counters must not race)
@@ -347,6 +350,30 @@ planLevelsJson(const core::HierarchicalPlan &plan)
     return out;
 }
 
+std::string
+planResponse(const Pending &p, const char *outcome,
+             const core::HierarchicalResult &result)
+{
+    return responseHead(p.req, true) + ",\"context_hash\":\"" +
+           p.key->hex() + "\"" + ",\"plan_hash\":\"" + p.hash + "\"" +
+           ",\"cache\":\"" + outcome + "\"" +
+           ",\"plan\":" + planLevelsJson(result.plan) +
+           ",\"comm_bytes\":" + canonicalDouble(result.commBytes) +
+           ",\"search\":" + searchJson(result) + "}";
+}
+
+std::string
+sweepResponse(const Pending &p, const char *outcome, const SweepResult &r)
+{
+    return responseHead(p.req, true) + ",\"context_hash\":\"" +
+           p.key->hex() + "\"" + ",\"cache\":\"" + outcome + "\"" +
+           ",\"level\":" + std::to_string(r.level) +
+           ",\"evaluated\":" + std::to_string(r.evaluated) +
+           ",\"best_mask\":" + std::to_string(r.bestMask) +
+           ",\"best_bits\":\"" + r.bestBits +
+           "\",\"metrics\":" + metricsJson(r.best) + "}";
+}
+
 bool
 needsSession(const std::string &op)
 {
@@ -421,9 +448,11 @@ Server::processBatch(const std::vector<std::string> &lines,
     // Pass 1 — parse and validate the *whole* request up front, before
     // the session registry is touched: a request that will answer with
     // an in-band error must never build — or evict — a warm session.
-    // Requests are independent here and each writes only its own slot,
-    // so the pass fans out over the pool (a one-request batch runs
-    // inline); the error count is folded serially afterwards.
+    // A valid plan or sweep also derives its cache key and probes the
+    // cache here, so a hit is answered without a session. Requests are
+    // independent here and each writes only its own slot, so the pass
+    // fans out over the pool (a one-request batch runs inline); error
+    // and hit counts are folded serially afterwards.
     auto admit = [&](std::size_t i) {
         Pending &p = pending[i];
         try {
@@ -458,6 +487,25 @@ Server::processBatch(const std::vector<std::string> &lines,
             if (p.req.op == "sweep" && !p.req.hasLevel)
                 util::fatal("sweep needs a \"level\" field "
                             "(0-based hierarchy level)");
+            if (p.req.op == "evaluate")
+                return;
+            // Whether a probe hit stands is decided in the serial fold.
+            const auto t0 = Clock::now();
+            if (p.req.op == "plan") {
+                p.hash = p.key->planHash(p.req.strategy, buildSearch(p.req));
+                if (const auto hit = cache_.probe(p.hash)) {
+                    responses[i] = planResponse(p, "hit", *hit);
+                    p.probeHit = true;
+                }
+            } else {
+                p.hash = p.key->sweepHash(p.req.strategy, buildSearch(p.req),
+                                          p.req.level);
+                if (const auto hit = cache_.probeSweep(p.hash)) {
+                    responses[i] = sweepResponse(p, "hit", *hit);
+                    p.probeHit = true;
+                }
+            }
+            p.seconds = secondsSince(t0);
         } catch (const std::exception &e) {
             responses[i] = errorResponse(p.req, e.what());
             p.errored = true;
@@ -469,14 +517,36 @@ Server::processBatch(const std::vector<std::string> &lines,
                            for (std::size_t i = b; i < e; ++i)
                                admit(i);
                        });
-    for (const Pending &p : pending)
+
+    // Serial fold. An admission hit stands only ahead of the batch's
+    // first control op: the lookups of everything before a stats,
+    // evict or shutdown complete before it runs, so those hits are
+    // counted here exactly as pass 3 would count them. A hit at or
+    // after a control op goes through pass 3 unchanged, where an
+    // evict may have removed its entry.
+    std::size_t barrier = n;
+    for (std::size_t i = 0; i < n && barrier == n; ++i)
+        if (!pending[i].errored && !needsSession(pending[i].req.op))
+            barrier = i;
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        Pending &p = pending[i];
         if (p.errored)
             ++stats_.errors;
+        if (p.probeHit && i < barrier) {
+            latency_[opIndex(p.req.op)].record(p.seconds);
+            p.done = true;
+            ++hits;
+        }
+    }
+    cache_.recordHits(hits);
 
-    // Pass 2 — admission: reserve every session on this thread, in
-    // request order, so LRU motion (touch, create, evict) is identical
-    // whether execution below runs serial or parallel. Builds happen
-    // lazily in the execution pass, under the per-session mutex.
+    // Pass 2 — admission: reserve a session for every request still
+    // pending, on this thread, in request order, so LRU motion (touch,
+    // create, evict) is identical whether execution below runs serial
+    // or parallel. Admission hits are done already and never touch the
+    // registry. Builds happen lazily in the execution pass, under the
+    // per-session mutex.
     for (std::size_t i = 0; i < n; ++i) {
         Pending &p = pending[i];
         if (!p.done && needsSession(p.req.op))
@@ -551,10 +621,8 @@ Server::processBatch(const std::vector<std::string> &lines,
             const auto t0 = Clock::now();
             try {
                 if (p.req.op == "plan") {
-                    const std::string hash =
-                        p.key->planHash(p.req.strategy, buildSearch(p.req));
                     std::optional<core::HierarchicalResult> cached =
-                        cache_.lookup(hash);
+                        cache_.lookup(p.hash);
                     const char *outcome = "hit";
                     core::HierarchicalResult result;
                     if (cached) {
@@ -570,18 +638,10 @@ Server::processBatch(const std::vector<std::string> &lines,
                                     result.plan);
                         // A store that cannot publish (cache off, or
                         // an I/O failure) still answers: as a bypass.
-                        outcome = cache_.store(hash, result) ? "miss"
-                                                             : "bypass";
+                        outcome = cache_.store(p.hash, result) ? "miss"
+                                                               : "bypass";
                     }
-                    responses[i] =
-                        responseHead(p.req, true) +
-                        ",\"context_hash\":\"" + p.key->hex() + "\"" +
-                        ",\"plan_hash\":\"" + hash + "\"" +
-                        ",\"cache\":\"" + outcome + "\"" +
-                        ",\"plan\":" + planLevelsJson(result.plan) +
-                        ",\"comm_bytes\":" +
-                        canonicalDouble(result.commBytes) +
-                        ",\"search\":" + searchJson(result) + "}";
+                    responses[i] = planResponse(p, outcome, result);
                 } else if (p.req.op == "evaluate") {
                     // Steady-state evaluations are served inline (the
                     // cadence loop is not a batch entry point).
@@ -599,10 +659,8 @@ Server::processBatch(const std::vector<std::string> &lines,
                         std::to_string(p.req.steps) +
                         ",\"metrics\":" + metricsJson(m) + "}";
                 } else if (p.req.op == "sweep") {
-                    const std::string hash = p.key->sweepHash(
-                        p.req.strategy, buildSearch(p.req), p.req.level);
                     std::optional<SweepResult> cached =
-                        cache_.lookupSweep(hash);
+                        cache_.lookupSweep(p.hash);
                     const char *outcome = "hit";
                     SweepResult r;
                     if (cached) {
@@ -627,18 +685,10 @@ Server::processBatch(const std::vector<std::string> &lines,
                         r.bestBits = core::toBitString(
                             core::levelPlanFromMask(r.bestMask,
                                                     base.numLayers()));
-                        outcome = cache_.storeSweep(hash, r) ? "miss"
-                                                             : "bypass";
+                        outcome = cache_.storeSweep(p.hash, r) ? "miss"
+                                                               : "bypass";
                     }
-                    responses[i] =
-                        responseHead(p.req, true) +
-                        ",\"context_hash\":\"" + p.key->hex() + "\"" +
-                        ",\"cache\":\"" + outcome + "\"" +
-                        ",\"level\":" + std::to_string(r.level) +
-                        ",\"evaluated\":" + std::to_string(r.evaluated) +
-                        ",\"best_mask\":" + std::to_string(r.bestMask) +
-                        ",\"best_bits\":\"" + r.bestBits +
-                        "\",\"metrics\":" + metricsJson(r.best) + "}";
+                    responses[i] = sweepResponse(p, outcome, r);
                 }
             } catch (const std::exception &e) {
                 responses[i] = errorResponse(p.req, e.what());

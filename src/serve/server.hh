@@ -17,21 +17,33 @@
  *    counterpart of the sweep fast path. Results are written back by
  *    request index, so coalescing is invisible except for latency
  *    (and the `batched` count in the response, exposed for tests).
- *  - Parallel execution: the independent requests of a batch fan out
- *    over a util::ThreadPool, grouped by context hash (requests
- *    sharing a warm session serialize on its mutex; LRU motion and
- *    counter folds stay on the admission thread, in request order).
- *    Responses are still written strictly by request index, and every
+ *  - Pipeline: processBatch runs three passes.
+ *     1. Admission, in parallel over a util::ThreadPool: parse,
+ *        validate, build the network and config, canonicalize the
+ *        context once (serve::ContextKey). A `plan`/`sweep` also
+ *        derives its plan/sweep hash and probes serve::PlanCache; a
+ *        hit is rendered into its slot there. A serial fold then keeps
+ *        the hits that come before the batch's first control op
+ *        (`stats`/`evict`/`shutdown`), counting them and their
+ *        latency; those requests are done and never touch a session.
+ *     2. Session reservation, serial and in request order, for the
+ *        requests still pending (LRU motion is therefore identical
+ *        for any thread count).
+ *     3. Execution in segments between control ops: each segment's
+ *        context-hash groups fan out over the pool (requests sharing
+ *        a warm session serialize on its mutex), then counters fold
+ *        in request order. A batch of only admission hits skips it.
+ *    Responses are written strictly by request index, and every
  *    response byte is identical to serial execution — pinned by
- *    tests/test_serve_concurrent.cc. `stats`/`evict`/`shutdown` are
- *    serial barriers within a batch. See docs/SERVING.md
+ *    tests/test_serve_concurrent.cc. See docs/SERVING.md
  *    "Concurrency & memory budget".
  *  - Warm state: sessions (network + SimConfig + Evaluator) are
  *    content-addressed by serve::contextHash and kept in an LRU
- *    (serve::SessionRegistry); `plan` results are additionally
- *    persisted in the on-disk serve::PlanCache keyed by
- *    serve::planHash, and a cache hit short-circuits the search with
- *    a bit-identical result.
+ *    (serve::SessionRegistry); `plan` and `sweep` results are
+ *    additionally persisted in the on-disk serve::PlanCache keyed by
+ *    serve::planHash / serve::sweepHash, behind an in-memory memo of
+ *    decoded results, and a cache hit short-circuits the search with a
+ *    bit-identical result.
  *  - A malformed request (bad JSON, unknown field, bad value, an
  *    over-long line) yields an `"ok": false` response *line* in its
  *    slot; the server never dies on client input. A cache write that

@@ -57,8 +57,10 @@ struct Session
      *  per-session locking rule); the registry itself never takes it. */
     std::mutex mu;
 
-    /** Built lazily by ensure(): a request that is answered without
-     *  evaluating (e.g. a plan-cache hit) never pays the build. */
+    /** Built lazily by ensure(). A plan-cache hit answered during
+     *  execution (an entry an earlier request of its batch stored, or
+     *  a hit behind a control op) reserves a session but never pays
+     *  the build; a hit answered at admission reserves none. */
     std::unique_ptr<sim::Evaluator> evaluator;
 
     Session(std::string hash, dnn::Network net, sim::SimConfig cfg,

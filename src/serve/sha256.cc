@@ -3,6 +3,15 @@
 #include <bit>
 #include <cstring>
 
+#include "core/simd_kernels.hh"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define HYPAR_SHA_X86 1
+#include <immintrin.h>
+#else
+#define HYPAR_SHA_X86 0
+#endif
+
 namespace hypar::serve {
 
 namespace {
@@ -28,15 +37,8 @@ constexpr std::uint32_t kRoundK[64] = {
     0x90befffau, 0xa4506cebu, 0xbef9a3f7u, 0xc67178f2u,
 };
 
-} // namespace
-
-Sha256::Sha256()
-{
-    std::memcpy(state_, kInit, sizeof(state_));
-}
-
 void
-Sha256::processBlock(const std::uint8_t *block)
+compressPortable(std::uint32_t *state, const std::uint8_t *block)
 {
     std::uint32_t w[64];
     for (int i = 0; i < 16; ++i) {
@@ -55,9 +57,8 @@ Sha256::processBlock(const std::uint8_t *block)
         w[i] = w[i - 16] + s0 + w[i - 7] + s1;
     }
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2],
-                  d = state_[3], e = state_[4], f = state_[5],
-                  g = state_[6], h = state_[7];
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                  e = state[4], f = state[5], g = state[6], h = state[7];
     for (int i = 0; i < 64; ++i) {
         const std::uint32_t s1 =
             std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
@@ -76,14 +77,134 @@ Sha256::processBlock(const std::uint8_t *block)
         b = a;
         a = t1 + t2;
     }
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+}
+
+} // namespace
+
+void
+sha256BlocksPortable(std::uint32_t *state, const std::uint8_t *blocks,
+                     std::size_t count)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        compressPortable(state, blocks + 64 * i);
+}
+
+#if HYPAR_SHA_X86
+
+/**
+ * The SHA extensions keep the eight working variables as two
+ * registers of four, ABEF and CDGH. SHA256RNDS2 runs two rounds,
+ * taking CDGH, ABEF and two (W[t] + K[t]) sums and returning the new
+ * ABEF (the old ABEF becomes the new CDGH), and MSG1/MSG2 extend the
+ * message schedule four words at a time:
+ *
+ *   W[t..t+3] = MSG2(MSG1(W[t-16..t-13], W[t-12..t-9]) + W[t-7..t-4],
+ *                    W[t-4..t-1])
+ */
+__attribute__((target("sha,sse4.1"))) void
+sha256BlocksShaNi(std::uint32_t *state, const std::uint8_t *blocks,
+                  std::size_t count)
+{
+    // Byte swap within each 32-bit word (the message is big-endian).
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+    // Registers are named from the high lane down: state[0..3] loads
+    // as DCBA, state[4..7] as HGFE.
+    const __m128i cdab = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state)), 0xB1);
+    const __m128i efgh = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state + 4)),
+        0x1B);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+    for (std::size_t b = 0; b < count; ++b) {
+        const std::uint8_t *block = blocks + 64 * b;
+        const __m128i abefSave = abef;
+        const __m128i cdghSave = cdgh;
+        __m128i w[4]; // W[4g..4g+3] lives in w[g % 4]
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; ++g) {
+            if (g < 4) {
+                w[g] = _mm_shuffle_epi8(
+                    _mm_loadu_si128(
+                        reinterpret_cast<const __m128i *>(block + 16 * g)),
+                    bswap);
+            } else {
+                const __m128i prev1 = w[(g + 3) % 4]; // W[t-4..t-1]
+                const __m128i prev2 = w[(g + 2) % 4]; // W[t-8..t-5]
+                const __m128i prev3 = w[(g + 1) % 4]; // W[t-12..t-9]
+                const __m128i sum = _mm_add_epi32(
+                    _mm_sha256msg1_epu32(w[g % 4], prev3),
+                    _mm_alignr_epi8(prev1, prev2, 4));
+                w[g % 4] = _mm_sha256msg2_epu32(sum, prev1);
+            }
+            __m128i wk = _mm_add_epi32(
+                w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                              kRoundK + 4 * g)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            wk = _mm_shuffle_epi32(wk, 0x0E);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+        }
+        abef = _mm_add_epi32(abef, abefSave);
+        cdgh = _mm_add_epi32(cdgh, cdghSave);
+    }
+
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state),
+                     _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4),
+                     _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool
+sha256ShaNiAvailable()
+{
+    static const bool ok = __builtin_cpu_supports("sha") != 0 &&
+                           __builtin_cpu_supports("sse4.1") != 0;
+    return ok;
+}
+
+#else
+
+void
+sha256BlocksShaNi(std::uint32_t *state, const std::uint8_t *blocks,
+                  std::size_t count)
+{
+    sha256BlocksPortable(state, blocks, count); // never selected
+}
+
+bool
+sha256ShaNiAvailable()
+{
+    return false;
+}
+
+#endif // HYPAR_SHA_X86
+
+Sha256Blocks
+sha256ActiveBlocks()
+{
+    static const Sha256Blocks chosen =
+        !core::simd::scalarPinned() && sha256ShaNiAvailable()
+            ? sha256BlocksShaNi
+            : sha256BlocksPortable;
+    return chosen;
+}
+
+Sha256::Sha256(Sha256Blocks blocks) : blocks_(blocks)
+{
+    std::memcpy(state_, kInit, sizeof(state_));
 }
 
 void
@@ -98,14 +219,15 @@ Sha256::update(std::string_view data)
         bufferLen_ += take;
         pos = take;
         if (bufferLen_ == sizeof(buffer_)) {
-            processBlock(buffer_);
+            blocks_(state_, buffer_, 1);
             bufferLen_ = 0;
         }
     }
-    while (pos + 64 <= data.size()) {
-        processBlock(
-            reinterpret_cast<const std::uint8_t *>(data.data() + pos));
-        pos += 64;
+    if (const std::size_t whole = (data.size() - pos) / 64; whole > 0) {
+        blocks_(state_,
+                reinterpret_cast<const std::uint8_t *>(data.data() + pos),
+                whole);
+        pos += 64 * whole;
     }
     if (pos < data.size()) {
         std::memcpy(buffer_, data.data() + pos, data.size() - pos);

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "core/comm_model.hh"
 #include "core/optimal_partitioner.hh"
 #include "core/plan.hh"
+#include "core/simd_kernels.hh"
 #include "dnn/model_zoo.hh"
 #include "dnn/spec_parser.hh"
 #include "serve/canonical.hh"
@@ -157,6 +159,125 @@ TEST(Sha256, MultiBlockBoundaries)
         EXPECT_NE(digest, prev);
         prev = digest;
     }
+}
+
+namespace {
+
+/** `n` bytes from `rng`. */
+std::string
+randomBytes(std::mt19937_64 &rng, std::size_t n)
+{
+    std::string out(n, '\0');
+    for (char &c : out)
+        c = static_cast<char>(rng() & 0xff);
+    return out;
+}
+
+/** Hex digest of `msg` through `kernel`, fed in random-sized pieces
+ *  (zero-length ones included) so every buffering path runs. */
+std::string
+splitDigest(serve::Sha256Blocks kernel, std::string_view msg,
+            std::mt19937_64 &rng)
+{
+    serve::Sha256 h(kernel);
+    std::size_t pos = 0;
+    while (pos < msg.size()) {
+        const std::size_t take =
+            std::min<std::size_t>(rng() % 150, msg.size() - pos);
+        h.update(msg.substr(pos, take));
+        pos += take;
+    }
+    return h.hexDigest();
+}
+
+/** Hex digest of `msg` through `kernel` in one update call. */
+std::string
+oneShotDigest(serve::Sha256Blocks kernel, std::string_view msg)
+{
+    serve::Sha256 h(kernel);
+    h.update(msg);
+    return h.hexDigest();
+}
+
+/** Every length 0..300, then 64 random lengths up to 64 KiB. */
+std::vector<std::size_t>
+digestLengths(std::mt19937_64 &rng)
+{
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 300; ++len)
+        lengths.push_back(len);
+    for (int k = 0; k < 64; ++k)
+        lengths.push_back(rng() % (64 * 1024 + 1));
+    return lengths;
+}
+
+} // namespace
+
+TEST(Sha256, PortableSplitUpdatesMatchOneShotAtEveryLength)
+{
+    // The portable kernel runs on every CPU and under
+    // HYPAR_SIMD=scalar; it must agree with itself however the input
+    // is cut, and the dispatched one-shot digest must agree with it.
+    std::mt19937_64 rng(17);
+    for (const std::size_t len : digestLengths(rng)) {
+        const std::string msg = randomBytes(rng, len);
+        const std::string want =
+            oneShotDigest(serve::sha256BlocksPortable, msg);
+        EXPECT_EQ(splitDigest(serve::sha256BlocksPortable, msg, rng), want)
+            << "length " << len;
+        EXPECT_EQ(serve::sha256Hex(msg), want) << "length " << len;
+    }
+}
+
+TEST(Sha256, ShaNiCompressionMatchesPortable)
+{
+    if (!serve::sha256ShaNiAvailable())
+        GTEST_SKIP() << "CPU lacks the SHA extensions";
+    // The two kernels, called directly on random chaining states (not
+    // just the IV) and random blocks, one and several blocks per call.
+    std::mt19937_64 rng(2026);
+    for (int trial = 0; trial < 10000; ++trial) {
+        std::uint32_t portable[8];
+        for (std::uint32_t &word : portable)
+            word = static_cast<std::uint32_t>(rng());
+        std::uint32_t shaNi[8];
+        std::copy(portable, portable + 8, shaNi);
+        const std::size_t count = 1 + trial % 3;
+        const std::string blocks = randomBytes(rng, 64 * count);
+        const auto *data =
+            reinterpret_cast<const std::uint8_t *>(blocks.data());
+        serve::sha256BlocksPortable(portable, data, count);
+        serve::sha256BlocksShaNi(shaNi, data, count);
+        ASSERT_TRUE(std::equal(portable, portable + 8, shaNi))
+            << "trial " << trial;
+    }
+}
+
+TEST(Sha256, ShaNiDigestsMatchPortableAtEveryLength)
+{
+    if (!serve::sha256ShaNiAvailable())
+        GTEST_SKIP() << "CPU lacks the SHA extensions";
+    std::mt19937_64 rng(4242);
+    for (const std::size_t len : digestLengths(rng)) {
+        const std::string msg = randomBytes(rng, len);
+        EXPECT_EQ(splitDigest(serve::sha256BlocksShaNi, msg, rng),
+                  oneShotDigest(serve::sha256BlocksPortable, msg))
+            << "length " << len;
+    }
+    EXPECT_EQ(oneShotDigest(serve::sha256BlocksShaNi, "abc"),
+              "ba7816bf8f01cfea414140de5dae2223"
+              "b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256, ScalarSwitchPinsThePortableKernel)
+{
+    // HYPAR_SIMD=scalar (read once, in core/simd_kernels.cc) must pin
+    // the portable compression too, so the golden digests below run
+    // through it on SHA-capable machines.
+    if (core::simd::scalarPinned() || !serve::sha256ShaNiAvailable())
+        EXPECT_EQ(serve::sha256ActiveBlocks(), &serve::sha256BlocksPortable);
+    else
+        EXPECT_EQ(serve::sha256ActiveBlocks(), &serve::sha256BlocksShaNi);
 }
 
 // --- JSON parser ------------------------------------------------------------
@@ -706,6 +827,137 @@ TEST(PlanCache, EvictRemovesEntriesAndDebris)
     EXPECT_FALSE(cache.lookup(std::string(64, 'a')).has_value());
 }
 
+TEST(PlanCache, MemoHitSurvivesTheDeletionOfItsFile)
+{
+    TempDir tmp("cache_memo_survives");
+    serve::PlanCache cache(tmp.path, true);
+    const core::HierarchicalResult result = sampleResult();
+    const std::string hash = hashFor(result);
+    serve::SweepResult sweep;
+    sweep.level = 2;
+    sweep.evaluated = 32;
+    sweep.bestMask = 9;
+    sweep.bestBits = "10010";
+    sweep.best.stepSeconds = 0.1 + 0.2;
+
+    ASSERT_TRUE(cache.store(hash, result));
+    ASSERT_TRUE(cache.storeSweep(hash, sweep)); // same hash, other kind
+    EXPECT_EQ(cache.memoSize(), 2u);
+    fs::remove(tmp.path / (hash + ".json"));
+    fs::remove(tmp.path / (hash + ".sweep.json"));
+
+    const auto back = cache.lookup(hash);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->plan.levels, result.plan.levels);
+    EXPECT_EQ(back->commBytes, result.commBytes);
+    EXPECT_EQ(back->transitionsEvaluated, result.transitionsEvaluated);
+    EXPECT_EQ(back->stats.widthUsed, result.stats.widthUsed);
+    const auto sweepBack = cache.lookupSweep(hash);
+    ASSERT_TRUE(sweepBack.has_value());
+    EXPECT_EQ(sweepBack->bestBits, sweep.bestBits);
+    EXPECT_EQ(sweepBack->best.stepSeconds, sweep.best.stepSeconds);
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(cache.stats().misses, 0u);
+
+    // The memo is per process: a fresh cache sees the empty disk.
+    EXPECT_FALSE(serve::PlanCache(tmp.path, true).lookup(hash));
+}
+
+TEST(PlanCache, CleanDiskDecodesFillTheMemoAndEvictClearsIt)
+{
+    TempDir tmp("cache_memo_evict");
+    const core::HierarchicalResult result = sampleResult();
+    const std::string hash = hashFor(result);
+    serve::PlanCache(tmp.path, true).store(hash, result);
+
+    serve::PlanCache cache(tmp.path, true);
+    EXPECT_EQ(cache.memoSize(), 0u);
+    ASSERT_TRUE(cache.lookup(hash)); // decoded from disk
+    EXPECT_EQ(cache.memoSize(), 1u);
+
+    EXPECT_EQ(cache.evict(), 1u);
+    EXPECT_EQ(cache.memoSize(), 0u);
+    EXPECT_FALSE(cache.lookup(hash));
+    EXPECT_FALSE(cache.probe(hash));
+}
+
+TEST(PlanCache, DisabledCacheAndFailedStoresNeverFillTheMemo)
+{
+    TempDir tmp("cache_memo_never");
+    const core::HierarchicalResult result = sampleResult();
+    const std::string hash = hashFor(result);
+
+    serve::PlanCache off(tmp.path, false);
+    EXPECT_FALSE(off.store(hash, result));
+    EXPECT_FALSE(off.storeSweep(hash, serve::SweepResult{}));
+    EXPECT_FALSE(off.lookup(hash));
+    EXPECT_EQ(off.memoSize(), 0u);
+
+    // A regular file where the directory should be: every store fails.
+    const fs::path blocked = tmp.path / "not-a-dir";
+    writeFile(blocked, "occupied");
+    serve::PlanCache failing(blocked, true);
+    EXPECT_FALSE(failing.store(hash, result));
+    EXPECT_FALSE(failing.storeSweep(hash, serve::SweepResult{}));
+    EXPECT_EQ(failing.memoSize(), 0u);
+    EXPECT_FALSE(failing.lookup(hash));
+    EXPECT_EQ(failing.stats().storeFailures, 2u);
+}
+
+TEST(PlanCache, MemoStaysAtItsCapacityDroppingTheOldestFirst)
+{
+    TempDir tmp("cache_memo_cap");
+    serve::PlanCache cache(tmp.path, true);
+    const core::HierarchicalResult result = sampleResult();
+    constexpr std::size_t kStores = serve::kMemoCapacity + 100;
+    std::vector<std::string> hashes;
+    for (std::size_t k = 0; k < kStores; ++k) {
+        hashes.push_back(serve::sha256Hex(std::to_string(k)));
+        ASSERT_TRUE(cache.store(hashes.back(), result));
+        EXPECT_LE(cache.memoSize(), serve::kMemoCapacity);
+    }
+    EXPECT_EQ(cache.memoSize(), serve::kMemoCapacity);
+
+    // With the files gone only the memo answers: the first 100 stores
+    // were dropped, the rest are held.
+    for (const std::string &hash : hashes)
+        fs::remove(tmp.path / (hash + ".json"));
+    EXPECT_FALSE(cache.lookup(hashes[0]));
+    EXPECT_FALSE(cache.lookup(hashes[99]));
+    EXPECT_TRUE(cache.lookup(hashes[100]));
+    EXPECT_TRUE(cache.lookup(hashes[kStores - 1]));
+}
+
+TEST(PlanCache, ProbesCountNothingAndQuarantineNothing)
+{
+    TempDir tmp("cache_probe");
+    serve::PlanCache cache(tmp.path, true);
+    const core::HierarchicalResult result = sampleResult();
+    const std::string hash = hashFor(result);
+    const fs::path entry = tmp.path / (hash + ".json");
+
+    EXPECT_FALSE(cache.probe(hash)); // absent
+    writeFile(entry, "{\"truncated\":");
+    EXPECT_FALSE(cache.probe(hash)); // corrupt: a probe miss ...
+    EXPECT_TRUE(fs::exists(entry));  // ... left in place
+    EXPECT_EQ(cache.memoSize(), 0u);
+
+    writeFile(entry, serve::PlanCache::entryJson(hash, result));
+    const auto hit = cache.probe(hash);
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(hit->commBytes, result.commBytes);
+    EXPECT_EQ(cache.memoSize(), 1u); // a clean decode is remembered
+
+    const serve::PlanCacheStats &c = cache.stats();
+    EXPECT_EQ(c.hits + c.misses + c.quarantined, 0u);
+    cache.recordHits(3);
+    EXPECT_EQ(cache.stats().hits, 3u);
+
+    serve::PlanCache off(tmp.path, false);
+    EXPECT_FALSE(off.probe(hash));
+    EXPECT_EQ(off.stats().misses, 0u);
+}
+
 // --- Session registry --------------------------------------------------------
 
 TEST(SessionRegistry, ReusesWarmSessionsAndEvictsLru)
@@ -1007,6 +1259,193 @@ TEST(Server, QuarantinedEntryIsReplannedInBand)
     EXPECT_EQ(PlanResponse::parse(runBatch(again, {line}).at(0))
                   .cacheOutcome,
               "hit");
+}
+
+// --- Server: hits answered at admission ------------------------------------
+
+namespace {
+
+/** A counter of the `cache` object of a `stats` response line. */
+double
+cacheCounter(const std::string &statsLine, const char *name)
+{
+    const serve::JsonValue v = serve::JsonValue::parse(statsLine);
+    EXPECT_TRUE(v.find("ok")->asBool()) << statsLine;
+    return v.find("cache")->find(name)->asNumber();
+}
+
+/** The `cache` outcome of a plan or sweep response line. */
+std::string
+outcomeOf(const std::string &line)
+{
+    const serve::JsonValue v = serve::JsonValue::parse(line);
+    EXPECT_TRUE(v.find("ok")->asBool()) << line;
+    return v.find("cache")->asString();
+}
+
+constexpr const char *kStats = R"({"op":"stats"})";
+constexpr const char *kPlanX =
+    R"({"op":"plan","model":"Lenet-c","strategy":"optimal"})";
+constexpr const char *kSweepX =
+    R"({"op":"sweep","model":"Lenet-c","level":1})";
+
+} // namespace
+
+TEST(Server, AdmissionHitsCountBeforeTheFirstControlOpOnly)
+{
+    TempDir tmp("serve_admission");
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path;
+    std::vector<std::string> cold;
+    {
+        serve::Server seed(opts);
+        cold = runBatch(seed, {kPlanX, kSweepX});
+        ASSERT_EQ(outcomeOf(cold[0]), "miss");
+        ASSERT_EQ(outcomeOf(cold[1]), "miss");
+    }
+
+    // [plan X warm, sweep X warm, stats]: the hits stand at admission,
+    // the stats reply includes them, and no session is ever reserved.
+    {
+        serve::Server server(opts);
+        const auto r = runBatch(server, {kPlanX, kSweepX, kStats});
+        EXPECT_EQ(outcomeOf(r[0]), "hit");
+        EXPECT_EQ(outcomeOf(r[1]), "hit");
+        EXPECT_EQ(cacheCounter(r[2], "hits"), 2.0);
+        EXPECT_EQ(cacheCounter(r[2], "misses"), 0.0);
+        const serve::JsonValue stats = serve::JsonValue::parse(r[2]);
+        EXPECT_EQ(stats.find("latency")->find("plan")->find("count")
+                      ->asNumber(),
+                  1.0);
+        EXPECT_EQ(stats.find("sessions")->find("size")->asNumber(), 0.0);
+        EXPECT_EQ(server.sessions().built(), 0u);
+        EXPECT_EQ(server.sessions().reused(), 0u);
+
+        // Byte identity with the miss, apart from the outcome.
+        std::string miss = cold[0];
+        miss.replace(miss.find("\"miss\""), 6, "\"hit\"");
+        EXPECT_EQ(r[0], miss);
+    }
+
+    // [stats, plan X warm, stats]: the first stats reply does not
+    // include the hit; the second does.
+    {
+        serve::Server server(opts);
+        const auto r = runBatch(server, {kStats, kPlanX, kStats});
+        EXPECT_EQ(cacheCounter(r[0], "hits"), 0.0);
+        EXPECT_EQ(outcomeOf(r[1]), "hit");
+        EXPECT_EQ(cacheCounter(r[2], "hits"), 1.0);
+    }
+
+    // [plan X warm, evict, plan X]: hit, removed, miss — the second
+    // plan's admission probe hit, but it sits behind the evict.
+    {
+        serve::Server server(opts);
+        const auto r = runBatch(
+            server, {kPlanX, R"({"op":"evict"})", kPlanX, kStats});
+        EXPECT_EQ(outcomeOf(r[0]), "hit");
+        EXPECT_EQ(serve::JsonValue::parse(r[1]).find("removed")->asNumber(),
+                  2.0);
+        EXPECT_EQ(outcomeOf(r[2]), "miss");
+        EXPECT_EQ(cacheCounter(r[3], "hits"), 1.0);
+        EXPECT_EQ(cacheCounter(r[3], "misses"), 1.0);
+        EXPECT_EQ(cacheCounter(r[3], "stores"), 1.0);
+    }
+}
+
+TEST(Server, ColdPlanThenRepeatInOneBatchIsMissThenHit)
+{
+    TempDir tmp("serve_cold_repeat");
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path;
+    serve::Server server(opts);
+    const auto r = runBatch(server, {kPlanX, kPlanX, kSweepX, kSweepX});
+    EXPECT_EQ(outcomeOf(r[0]), "miss");
+    EXPECT_EQ(outcomeOf(r[1]), "hit");
+    EXPECT_EQ(outcomeOf(r[2]), "miss");
+    EXPECT_EQ(outcomeOf(r[3]), "hit");
+    EXPECT_EQ(server.cache().stats().hits, 2u);
+    EXPECT_EQ(server.cache().stats().misses, 2u);
+}
+
+TEST(Server, CorruptEntryBehindAStatsOpQuarantinesAfterIt)
+{
+    TempDir tmp("serve_corrupt_behind_stats");
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path;
+    {
+        serve::Server seed(opts);
+        runBatch(seed, {kPlanX});
+    }
+    fs::path entry;
+    for (const auto &e : fs::directory_iterator(tmp.path))
+        if (e.path().extension() == ".json")
+            entry = e.path();
+    ASSERT_FALSE(entry.empty());
+    writeFile(entry, "{\"truncated\":");
+
+    // The admission probe reads the corrupt entry as a miss without a
+    // trace; the quarantine happens in execution, after the stats op.
+    serve::Server server(opts);
+    const auto r = runBatch(server, {kStats, kPlanX});
+    EXPECT_EQ(cacheCounter(r[0], "quarantined"), 0.0);
+    EXPECT_EQ(outcomeOf(r[1]), "miss");
+    const auto later = runBatch(server, {kStats});
+    EXPECT_EQ(cacheCounter(later[0], "quarantined"), 1.0);
+    EXPECT_EQ(cacheCounter(later[0], "misses"), 1.0);
+}
+
+TEST(Server, UnwritableCacheAnswersEveryRepeatAsABypass)
+{
+    // A failed store never fills the memo, so the repeat cannot turn
+    // into a hit — at admission or in execution.
+    TempDir tmp("serve_unwritable_repeat");
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path / "not-a-dir";
+    writeFile(opts.cacheDir, "occupied");
+    serve::Server server(opts);
+    for (int round = 0; round < 2; ++round) {
+        const auto r = runBatch(server, {kPlanX, kPlanX, kSweepX, kSweepX});
+        for (const std::string &line : r)
+            EXPECT_EQ(outcomeOf(line), "bypass") << line;
+    }
+    EXPECT_EQ(server.cache().stats().hits, 0u);
+    EXPECT_EQ(server.cache().memoSize(), 0u);
+}
+
+TEST(Server, AdmissionHitsNeverChurnTheSessionRegistry)
+{
+    // Regression: with two warm-session slots, a batch of hits over
+    // eight other contexts used to reserve (and evict) a session per
+    // context, so the next evaluate of context A rebuilt its
+    // Evaluator.
+    TempDir tmp("serve_hit_churn");
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path;
+    opts.maxSessions = 2;
+    std::vector<std::string> hits;
+    for (int k = 1; k <= 8; ++k)
+        hits.push_back(R"({"op":"plan","model":"Lenet-c","levels":2,)"
+                       R"("batch":)" +
+                       std::to_string(16 * k) + "}");
+    {
+        serve::Server seed(opts);
+        for (const std::string &line : runBatch(seed, hits))
+            ASSERT_EQ(outcomeOf(line), "miss");
+    }
+
+    serve::Server server(opts);
+    const std::string evaluateA =
+        R"({"op":"evaluate","model":"SFC","levels":2})";
+    runBatch(server, {evaluateA});
+    ASSERT_EQ(server.sessions().built(), 1u);
+    const std::size_t reused = server.sessions().reused();
+    for (const std::string &line : runBatch(server, hits))
+        EXPECT_EQ(outcomeOf(line), "hit");
+    EXPECT_EQ(server.sessions().size(), 1u);
+    runBatch(server, {evaluateA});
+    EXPECT_EQ(server.sessions().built(), 1u);
+    EXPECT_EQ(server.sessions().reused(), reused + 1);
 }
 
 // --- Server: admission batches, coalescing, framing -------------------------

@@ -91,10 +91,14 @@ masked(std::string line)
 /**
  * Seeded traffic generator: one admission batch of mixed requests.
  * Everything is drawn from the same engine, so all servers replay the
- * exact same byte stream.
+ * exact same byte stream. `history` carries the plan/sweep request
+ * bodies of earlier batches: re-sending them makes admission hits
+ * (and, after an `evict`, misses again) common on every side of a
+ * control op.
  */
 std::vector<std::string>
-makeBatch(std::mt19937 &rng, std::size_t size)
+makeBatch(std::mt19937 &rng, std::size_t size,
+          std::vector<std::string> &history)
 {
     static const char *models[] = {"Lenet-c", "SFC"};
     static const char *strategies[] = {"hypar", "dp", "mp", "owt",
@@ -119,24 +123,33 @@ makeBatch(std::mt19937 &rng, std::size_t size)
             if (pick(rng) < 30)
                 line += ",\"batch\":128";
             batch.push_back(line + "}");
-        } else if (roll < 55) {
-            batch.push_back(head + "\"plan\",\"model\":\"" + model +
-                            "\",\"strategy\":\"" + strategy +
-                            "\",\"levels\":" + std::to_string(levels) +
-                            "}");
-        } else if (roll < 65) {
-            batch.push_back(head + "\"sweep\",\"model\":\"" + model +
-                            "\",\"levels\":" + std::to_string(levels) +
-                            ",\"level\":" +
-                            std::to_string(pick(rng) %
-                                           static_cast<int>(levels)) +
-                            "}");
-        } else if (roll < 75) {
+        } else if (roll < 48) {
+            history.push_back("\"plan\",\"model\":\"" + model +
+                              "\",\"strategy\":\"" + strategy +
+                              "\",\"levels\":" + std::to_string(levels) +
+                              "}");
+            batch.push_back(head + history.back());
+        } else if (roll < 56) {
+            history.push_back("\"sweep\",\"model\":\"" + model +
+                              "\",\"levels\":" + std::to_string(levels) +
+                              ",\"level\":" +
+                              std::to_string(pick(rng) %
+                                             static_cast<int>(levels)) +
+                              "}");
+            batch.push_back(head + history.back());
+        } else if (roll < 66) {
+            // A plan or sweep sent before: usually a cache hit.
+            if (history.empty())
+                continue;
+            batch.push_back(head + history[pick(rng) % history.size()]);
+        } else if (roll < 74) {
             // DAG traffic through an inline spec.
             batch.push_back(head + "\"evaluate\",\"spec\":\"" +
                             kDagSpecJson + "\",\"levels\":2}");
-        } else if (roll < 80) {
+        } else if (roll < 78) {
             batch.push_back(head + "\"stats\"}");
+        } else if (roll < 80) {
+            batch.push_back(head + "\"evict\"}");
         } else if (roll < 90) {
             // In-band errors: these must land in their slot, leave the
             // registry untouched, and never poison a neighbor.
@@ -185,16 +198,18 @@ TEST(ServeConcurrent, RandomTrafficIsByteIdenticalAcrossThreadCounts)
     // pool size (0 workers = strictly serial inline execution). The
     // masked transcripts — and every observable counter — must agree.
     constexpr std::size_t kWorkers[] = {0, 1, 7};
-    constexpr std::size_t kBatches = 8;
+    constexpr std::size_t kBatches = 32;
     constexpr std::size_t kBatchSize = 9;
 
     std::vector<std::vector<std::string>> traffic;
+    std::vector<std::string> history;
     std::mt19937 rng(20260808);
     for (std::size_t b = 0; b < kBatches; ++b)
-        traffic.push_back(makeBatch(rng, kBatchSize));
+        traffic.push_back(makeBatch(rng, kBatchSize, history));
 
     std::vector<std::vector<std::string>> transcripts;
     std::vector<serve::ServeStats> stats;
+    std::vector<serve::PlanCacheStats> cacheStats;
     for (const std::size_t workers : kWorkers) {
         TempDir tmp("w" + std::to_string(workers));
         util::ThreadPool pool(workers);
@@ -208,6 +223,7 @@ TEST(ServeConcurrent, RandomTrafficIsByteIdenticalAcrossThreadCounts)
                 transcript.push_back(masked(std::move(line)));
         transcripts.push_back(std::move(transcript));
         stats.push_back(server.stats());
+        cacheStats.push_back(server.cache().stats());
     }
 
     ASSERT_EQ(transcripts[0].size(), kBatches * kBatchSize);
@@ -220,10 +236,20 @@ TEST(ServeConcurrent, RandomTrafficIsByteIdenticalAcrossThreadCounts)
         EXPECT_EQ(stats[s].requests, stats[0].requests);
         EXPECT_EQ(stats[s].errors, stats[0].errors);
         EXPECT_EQ(stats[s].coalesced, stats[0].coalesced);
+        EXPECT_EQ(cacheStats[s].hits, cacheStats[0].hits);
+        EXPECT_EQ(cacheStats[s].misses, cacheStats[0].misses);
+        EXPECT_EQ(cacheStats[s].stores, cacheStats[0].stores);
     }
-    // The traffic mix actually exercised the interesting paths.
+    // The traffic mix actually exercised the interesting paths: errors,
+    // coalescing, cache hits, and an evict among plans and sweeps.
     EXPECT_GT(stats[0].errors, 0u);
     EXPECT_GT(stats[0].coalesced, 0u);
+    EXPECT_GT(cacheStats[0].hits, 0u);
+    std::size_t evicts = 0;
+    for (const std::vector<std::string> &batch : traffic)
+        for (const std::string &line : batch)
+            evicts += line.find("\"op\":\"evict\"") != std::string::npos;
+    EXPECT_GT(evicts, 0u);
 }
 
 TEST(ServeConcurrent, MemoryBudgetedRegistryStaysDeterministic)
@@ -233,9 +259,10 @@ TEST(ServeConcurrent, MemoryBudgetedRegistryStaysDeterministic)
     constexpr std::size_t kWorkers[] = {0, 7};
 
     std::vector<std::vector<std::string>> traffic;
+    std::vector<std::string> history;
     std::mt19937 rng(42);
     for (std::size_t b = 0; b < 6; ++b)
-        traffic.push_back(makeBatch(rng, 6));
+        traffic.push_back(makeBatch(rng, 6, history));
 
     std::vector<std::vector<std::string>> transcripts;
     std::vector<std::size_t> built;
