@@ -188,100 +188,17 @@ BM_OptimalPartitionReference(benchmark::State &state)
 }
 
 void
-BM_OptimalPartitionSparse(benchmark::State &state)
-{
-    const auto levels = static_cast<std::size_t>(state.range(0));
-    dnn::Network net = deepNet(12);
-    core::CommModel model(net, core::CommConfig{});
-    core::OptimalPartitioner partitioner(model);
-    core::SearchOptions opts;
-    opts.engine = core::SearchEngine::kSparse;
-    for (auto _ : state) {
-        auto result = partitioner.partition(levels, opts);
-        benchmark::DoNotOptimize(result.commBytes);
-    }
-    state.SetComplexityN(state.range(0));
-}
-
-void
-BM_OptimalPartitionBeam(benchmark::State &state)
-{
-    // Past the dense H = 10 ceiling: the frontier-pruned beam engine at
-    // the legacy fixed default width (adaptive growth disabled, so one
-    // pass at max(1024, 2^H/16) like the pre-A* engine — note the
-    // pass itself now also builds the suffix-bound table and ranks
-    // frontiers by f = g + h, so numbers are not directly comparable
-    // across the PR that introduced the bound). H = 12 and 14 were
-    // unreachable before this engine existed; the dense DP's 4^H loop
-    // is 16x / 256x the H = 10 work.
-    const auto levels = static_cast<std::size_t>(state.range(0));
-    dnn::Network net = deepNet(12);
-    core::CommModel model(net, core::CommConfig{});
-    core::OptimalPartitioner partitioner(model);
-    core::SearchOptions opts;
-    opts.engine = core::SearchEngine::kBeam;
-    opts.adaptiveBeam = false;
-    for (auto _ : state) {
-        auto result = partitioner.partition(levels, opts);
-        benchmark::DoNotOptimize(result.commBytes);
-    }
-    state.SetComplexityN(state.range(0));
-}
-
-void
 BM_OptimalPartitionAStar(benchmark::State &state)
 {
     // The exact best-first engine under the admissible suffix bound:
-    // the depths the sparse engine crawls through and the dense DP
-    // cannot touch at all. Bit-identical results to both.
+    // depths the dense DP cannot touch at all, with bit-identical
+    // results to it wherever both run.
     const auto levels = static_cast<std::size_t>(state.range(0));
     dnn::Network net = deepNet(12);
     core::CommModel model(net, core::CommConfig{});
     core::OptimalPartitioner partitioner(model);
     core::SearchOptions opts;
     opts.engine = core::SearchEngine::kAStar;
-    for (auto _ : state) {
-        auto result = partitioner.partition(levels, opts);
-        benchmark::DoNotOptimize(result.commBytes);
-    }
-    state.SetComplexityN(state.range(0));
-}
-
-void
-BM_OptimalPartitionBeamAdaptive(benchmark::State &state)
-{
-    // The self-certifying beam: width grows geometrically until the
-    // dropped-state bound clears the result, so the returned plan
-    // carries certifiedExact == true.
-    const auto levels = static_cast<std::size_t>(state.range(0));
-    dnn::Network net = deepNet(12);
-    core::CommModel model(net, core::CommConfig{});
-    core::OptimalPartitioner partitioner(model);
-    core::SearchOptions opts;
-    opts.engine = core::SearchEngine::kBeam; // width 0 -> adaptive
-    for (auto _ : state) {
-        auto result = partitioner.partition(levels, opts);
-        benchmark::DoNotOptimize(result.commBytes);
-    }
-    state.SetComplexityN(state.range(0));
-}
-
-void
-BM_OptimalPartitionBeamWarmStart(benchmark::State &state)
-{
-    // The serve tier's width_hint path: a prior adaptive solve's
-    // certified width seeds the first pass, skipping the geometric
-    // ramp entirely when the hint still certifies. Pair by eye with
-    // BM_OptimalPartitionBeamAdaptive at the same depth — that is the
-    // cold ramp this warm start replaces.
-    const auto levels = static_cast<std::size_t>(state.range(0));
-    dnn::Network net = deepNet(12);
-    core::CommModel model(net, core::CommConfig{});
-    core::OptimalPartitioner partitioner(model);
-    core::SearchOptions opts;
-    opts.engine = core::SearchEngine::kBeam; // width 0 -> adaptive
-    const auto cold = partitioner.partition(levels, opts);
-    opts.beamWidthStart = cold.stats.widthUsed;
     for (auto _ : state) {
         auto result = partitioner.partition(levels, opts);
         benchmark::DoNotOptimize(result.commBytes);
@@ -328,8 +245,8 @@ BM_OptimalPartitionResNetBlock(benchmark::State &state)
 }
 
 /** Shared state for the kernel-level SIMD rows: the H-deep factored
- *  expansion cascade plus the dense/beam scan inputs, filled with
- *  deterministic values. */
+ *  expansion cascade plus the dense and beam-pass scan inputs,
+ *  filled with deterministic values. */
 struct SimdBenchData {
     explicit SimdBenchData(unsigned levels)
         : h(levels), n(std::size_t{1} << levels), trans(n), cost(n),
@@ -352,7 +269,7 @@ struct SimdBenchData {
 
     /** One full expansion: all 2^h transition sums from the factored
      *  rows — exactly the per-(layer, predecessor) work of the dense
-     *  and beam engines. */
+     *  engine and of A*'s incumbent beam pass. */
     void expand(const core::simd::Kernels &k)
     {
         trans[0] = 0.0;
@@ -560,19 +477,9 @@ BENCHMARK(BM_HyparFullSearchZooReference);
 // speedup at 1x.
 BENCHMARK(BM_OptimalPartition)->DenseRange(4, 6, 2);
 BENCHMARK(BM_OptimalPartitionReference)->DenseRange(4, 6, 2);
-// The sparse engine is paired with the dense DP at matching depths by
-// eye (no *Reference twin): its win is the skipped transitions.
-BENCHMARK(BM_OptimalPartitionSparse)->DenseRange(6, 10, 2);
-// Depths the dense DP cannot reach at all.
-BENCHMARK(BM_OptimalPartitionBeam)->DenseRange(10, 14, 2);
-// The exact engines past the ceiling: A* to the full H = 14 micro
-// range, the adaptive (self-certifying) beam to H = 12 — its
-// certificate can force near-exhaustive widths beyond that, which
-// belongs in fig11, not a micro bench.
+// The exact engine past the dense ceiling, to the full H = 14 micro
+// range.
 BENCHMARK(BM_OptimalPartitionAStar)->DenseRange(10, 14, 2);
-BENCHMARK(BM_OptimalPartitionBeamAdaptive)->DenseRange(10, 12, 2);
-// The warm-start lever next to the cold adaptive ramp above.
-BENCHMARK(BM_OptimalPartitionBeamWarmStart)->DenseRange(10, 12, 2);
 // The DAG path next to its chain siblings (same H sweep as the dense
 // rows).
 BENCHMARK(BM_OptimalPartitionResNetBlock)->DenseRange(4, 6, 2);

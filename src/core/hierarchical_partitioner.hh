@@ -26,42 +26,29 @@ namespace hypar::core {
  *
  * `expanded` counts (layer, state) DP nodes the engine computed and
  * kept as live predecessors for the next layer. `pruned` counts the
- * work the engine eliminated, in the engine's own work unit: for the
- * beam and A* engines it is nodes — dropped from a frontier, or
- * proven useless by the A* bound `g + h > incumbent`; for the sparse
- * engine (whose nodes are all expanded) it is the dominance-skipped
- * *transitions* its early break never evaluated, i.e. the dense
- * engine's 4^H * (L-1) transition bill minus transitionsEvaluated.
+ * work the engine eliminated: for A* on a chain it is nodes proven
+ * useless by the bound `g + h > incumbent`; on a series-parallel DAG
+ * it is the middle-state candidates A*'s early break never evaluated.
  * The dense and reference engines skip nothing, so their pruned count
- * is genuinely zero. `widthUsed` is the per-layer frontier the
- * engine actually worked with: the final beam width for the beam
- * engine (after adaptive growth), the largest per-layer live set for
- * A*, and the full 2^H for the exhaustive engines.
+ * is genuinely zero. `widthUsed` is the per-layer frontier the engine
+ * actually worked with: the largest per-layer live set for A* on a
+ * chain, and the full 2^H otherwise.
  *
  * `certifiedExact` is a machine-checked optimality certificate: true
  * only when the engine *proved* its plan is the exact joint optimum —
- * bit-identical, cost and plan, to the dense DP. The exhaustive and A*
- * engines always certify; a pruned beam certifies when every state it
- * ever dropped had `g + h` strictly above the returned cost (see
- * optimal_partitioner.hh for the admissibility argument). False means
- * "no certificate", not "wrong": searches that don't certify (greedy
- * Algorithm 2, an uncertified beam) leave the default-constructed
- * value in place.
+ * bit-identical, cost and plan, to the dense DP. Every
+ * OptimalPartitioner engine certifies (see optimal_partitioner.hh for
+ * the admissibility argument). False means "no certificate", not
+ * "wrong": searches that don't certify (greedy Algorithm 2) leave the
+ * default-constructed value in place.
  *
- * Scope under adaptive beam growth: `expanded`, `pruned`,
- * `certifiedExact`, and `widthUsed` describe the final (certifying)
- * pass only, while `HierarchicalResult::transitionsEvaluated`
- * accumulates over every growth pass — it is the total work bill, not
- * a per-pass figure, so expanded + pruned relates to it only for the
- * single-pass engines.
- *
- * All four fields are deterministic for a given model, engine, and
- * options — independent of thread count — so tests can assert on them.
+ * All four fields are deterministic for a given model and engine —
+ * independent of thread count — so tests can assert on them.
  */
 struct SearchStats
 {
     std::uint64_t expanded = 0; //!< DP nodes computed and kept
-    std::uint64_t pruned = 0;   //!< DP nodes eliminated by bound/beam
+    std::uint64_t pruned = 0;   //!< work eliminated by the A* bound
     bool certifiedExact = false; //!< proven equal to the dense DP
     std::size_t widthUsed = 0;   //!< per-layer frontier actually used
 };
@@ -77,7 +64,8 @@ struct HierarchicalResult
      * cost[p] + trans(p -> s) considered by a DP engine. 0 for searches
      * that don't count (greedy Algorithm 2, the naive references).
      * Deterministic for a given model and engine, so tests can assert
-     * how much work the sparse/beam engines actually skipped.
+     * how much work A* actually skipped. A*'s count includes its
+     * incumbent beam pass.
      */
     std::uint64_t transitionsEvaluated = 0;
     /** Node-level search diagnostics + optimality certificate. */

@@ -113,11 +113,10 @@ class InterTermTable
 
 /**
  * Relative slack used whenever a floating-point `g + h` is compared
- * against an incumbent cost C: a node is pruned (and a beam pass
- * certified) only when the value exceeds C * (1 + kBoundSlack). The
- * suffix bound is admissible addend-by-addend, but its multi-layer
- * sum is associated differently from the DP's own left-to-right
- * accumulation; the slack absorbs that re-association drift (at most
+ * against an incumbent cost C: a node is pruned only when the value
+ * exceeds C * (1 + kBoundSlack). The suffix bound is admissible
+ * addend-by-addend, but its multi-layer sum is associated differently
+ * from the DP's own left-to-right accumulation; the slack absorbs that re-association drift (at most
  * ~2L * 2^-53 relative — five orders of magnitude below 1e-9) so no
  * state whose true float-semantics completion is <= C — including
  * exact ties, which the shared tie-break rule must still see — is
@@ -153,9 +152,9 @@ inflate(double cost)
 /**
  * Per-target row minima of one factored table: the cheapest admissible
  * p-side entry (p_h in {0,1}, dpAbove(p,h) <= h) of each (h, sb,
- * b <= h) row. This is the sparse engine's per-target lower-bound
- * ingredient (lbIn), shared with the suffix bound's M term and the A*
- * per-target screen. Slots with b > h are unreachable and stay +inf.
+ * b <= h) row: the per-target lower-bound ingredient (lbIn) of the
+ * suffix bound's M term. Slots with b > h are unreachable and stay
+ * +inf.
  */
 std::vector<double>
 targetRowMins(const InterTermTable &iterm, std::size_t levels)
@@ -180,7 +179,7 @@ targetRowMins(const InterTermTable &iterm, std::size_t levels)
 /**
  * pcol[p * levels + h]: column of state p in the level-h row of a
  * factored table — (p_h, dpAbove(p,h)) flattened. Shared by every
- * layer transition of the sparse and A* engines.
+ * layer transition of the A* engine.
  */
 std::vector<std::uint16_t>
 buildPcol(std::size_t levels)
@@ -196,8 +195,8 @@ buildPcol(std::size_t levels)
     return pcol;
 }
 
-/** One InterTermTable per l -> l+1 transition, shared by the wide
- *  engines (several passes reuse them: bound, incumbent, search). */
+/** One InterTermTable per l -> l+1 transition, shared by A*'s passes
+ *  (bound, incumbent, search). */
 std::vector<InterTermTable>
 buildInterTables(const CommModel &model, std::size_t levels)
 {
@@ -317,8 +316,7 @@ suffixBound(const CommModel &model, std::size_t levels,
                 outmin[h * cols + col] = m;
             }
         }
-        // The sparse engine's per-target row minima: the lbIn
-        // ingredient of the M term.
+        // Per-target row minima: the lbIn ingredient of the M term.
         const std::vector<double> inmin = targetRowMins(iterm, levels);
 
         const double *intra_next = &intra[(l + 1) * states];
@@ -378,26 +376,12 @@ HierarchicalResult assemblePlan(std::size_t levels,
                                 const std::vector<double> &cost,
                                 const std::vector<std::uint32_t> &parent);
 
-/** Tables shared by the wide engines (beam passes and A*). */
+/** Tables shared by A*'s passes (incumbent beam pass and search). */
 struct WideTables
 {
     std::vector<double> intra;         //!< [l * 2^H + s]
     std::vector<InterTermTable> inter; //!< one per l -> l+1
     std::vector<double> suffix;        //!< admissible bound h[l][s]
-};
-
-/**
- * Result of one fixed-width beam pass. `minDroppedF` is the smallest
- * f = g + h over every state dropped from any frontier (+inf when
- * nothing was dropped, i.e. width >= 2^H); the caller checks it
- * against the returned cost to certify exactness.
- */
-struct BeamOutcome
-{
-    HierarchicalResult result;
-    double minDroppedF = std::numeric_limits<double>::infinity();
-    std::uint64_t expanded = 0; //!< kept predecessor nodes, all layers
-    std::uint64_t dropped = 0;  //!< frontier states pruned, all layers
 };
 
 /**
@@ -413,7 +397,13 @@ buildPcnt(std::uint32_t states)
     return pcnt;
 }
 
-BeamOutcome
+/**
+ * One fixed-width beam pass: A*'s incumbent. Keeps the `beam_width`
+ * best states of each layer frontier as transition predecessors and
+ * returns an achieved plan, whose cost upper-bounds the optimum, with
+ * its transitionsEvaluated.
+ */
+HierarchicalResult
 beamPass(std::size_t levels, std::size_t num_layers,
          std::size_t beam_width, const WideTables &tables)
 {
@@ -429,7 +419,6 @@ beamPass(std::size_t levels, std::size_t num_layers,
     std::vector<std::uint32_t> frontier;
     std::vector<double> fscore(states);
     std::uint64_t total_evaluated = 0;
-    BeamOutcome out;
 
     // The beam: the `beam_width` best states under (f, index) with
     // f = cost-so-far + suffix bound — ranked by provable completable
@@ -451,10 +440,6 @@ beamPass(std::size_t levels, std::size_t num_layers,
                                  return better(fscore[x], x, fscore[y],
                                                y);
                              });
-            for (std::size_t k = beam_width; k < states; ++k)
-                out.minDroppedF =
-                    std::min(out.minDroppedF, fscore[frontier[k]]);
-            out.dropped += states - beam_width;
             frontier.resize(beam_width);
             std::sort(frontier.begin(), frontier.end());
         }
@@ -467,7 +452,6 @@ beamPass(std::size_t levels, std::size_t num_layers,
 
         pruneFrontier(l - 1);
         const std::size_t fsize = frontier.size();
-        out.expanded += fsize;
         total_evaluated += static_cast<std::uint64_t>(fsize) * states;
 
         // Parallelize over frontier chunks: each chunk relaxes every
@@ -553,9 +537,10 @@ beamPass(std::size_t levels, std::size_t num_layers,
         cost.swap(next);
     }
 
-    out.result = assemblePlan(levels, num_layers, states, cost, parent);
-    out.result.transitionsEvaluated = total_evaluated;
-    return out;
+    HierarchicalResult result =
+        assemblePlan(levels, num_layers, states, cost, parent);
+    result.transitionsEvaluated = total_evaluated;
+    return result;
 }
 
 /**
@@ -600,14 +585,9 @@ searchEngineFromName(const std::string &name)
         return SearchEngine::kAuto;
     if (name == "dense")
         return SearchEngine::kDense;
-    if (name == "sparse")
-        return SearchEngine::kSparse;
-    if (name == "beam")
-        return SearchEngine::kBeam;
     if (name == "astar")
         return SearchEngine::kAStar;
-    util::fatal("unknown search engine '" + name +
-                "' (auto|dense|sparse|beam|astar)");
+    util::fatal("unknown search engine '" + name + "' (auto|dense|astar)");
 }
 
 OptimalPartitioner::OptimalPartitioner(const CommModel &model)
@@ -686,10 +666,6 @@ OptimalPartitioner::partition(std::size_t levels,
     switch (engine) {
     case SearchEngine::kDense:
         return partitionDense(levels);
-    case SearchEngine::kSparse:
-        return partitionSparse(levels);
-    case SearchEngine::kBeam:
-        return partitionBeam(levels, options);
     case SearchEngine::kAStar:
         return partitionAStar(levels);
     case SearchEngine::kAuto:
@@ -718,7 +694,7 @@ OptimalPartitioner::partitionDense(std::size_t levels) const
 {
     if (levels > kDenseMax)
         util::fatal("OptimalPartitioner: 4^H transitions explode past "
-                    "H = 10 (use the sparse or beam engine)");
+                    "H = 10 (use the astar or auto engine)");
 
     // Below H = 3 the factored table holds more entries than the DP has
     // transitions, so the naive loop is cheaper. Results are identical.
@@ -802,180 +778,6 @@ OptimalPartitioner::partitionDense(std::size_t levels) const
 }
 
 HierarchicalResult
-OptimalPartitioner::partitionSparse(std::size_t levels) const
-{
-    if (levels > kWideMax)
-        util::fatal("OptimalPartitioner: sparse engine capped at H = 16");
-    if (levels <= 2)
-        return partitionReference(levels);
-
-    const std::size_t num_layers = model_->numLayers();
-    HYPAR_ASSERT(num_layers > 0, "partitioning an empty network");
-
-    const std::uint32_t states = 1u << levels;
-    auto &pool = util::ThreadPool::global();
-    const std::size_t grain = pool.grainFor(states);
-    const std::size_t chunks = (states + grain - 1) / grain;
-
-    const std::vector<double> intra = intraTable(levels);
-
-    const std::vector<std::uint16_t> pcol = buildPcol(levels);
-
-    std::vector<double> cost(intra.begin(), intra.begin() + states);
-    std::vector<std::uint32_t> parent(num_layers * states, 0);
-    std::vector<double> next(states);
-    std::vector<std::uint32_t> order(states);
-    std::vector<std::uint64_t> evaluated(chunks);
-    std::uint64_t total_evaluated = 0;
-
-    for (std::size_t l = 1; l < num_layers; ++l) {
-        const InterTermTable iterm(*model_, l - 1, levels);
-        const double *intra_l = &intra[l * states];
-        std::uint32_t *parent_l = &parent[l * states];
-
-        // Per-level ingredients of the lower bound below.
-        const std::vector<double> rowmin = targetRowMins(iterm, levels);
-
-        // Predecessors in ascending (cost, index): the scan below then
-        // visits candidates best-first under the shared tie-break
-        // order, which is what makes the early break exact.
-        std::iota(order.begin(), order.end(), 0u);
-        std::sort(order.begin(), order.end(),
-                  [&](std::uint32_t x, std::uint32_t y) {
-                      return better(cost[x], x, cost[y], y);
-                  });
-
-        std::fill(evaluated.begin(), evaluated.end(), 0);
-        pool.parallelFor(0, states, grain, [&](std::size_t s_begin,
-                                               std::size_t s_end) {
-            std::uint64_t &count = evaluated[s_begin / grain];
-            std::array<const double *, kWideMax> rows;
-            std::array<double, kWideMax> rmins;
-
-            for (std::size_t s = s_begin; s < s_end; ++s) {
-                const auto sv = static_cast<std::uint32_t>(s);
-                for (std::size_t h = 0; h < levels; ++h) {
-                    const unsigned sb = (sv >> h) & 1u;
-                    const unsigned b = dpAbove(sv, h);
-                    rows[h] = iterm.rowAt(h, sb, b);
-                    rmins[h] = rowmin[(h * 2 + sb) * (levels + 1) + b];
-                }
-                // Floating-point lower bound on any transition into s,
-                // accumulated in the same level-ascending order as the
-                // real transition sums. Rounding is monotone, so
-                // lb <= trans(p, s) holds in float arithmetic for every
-                // p, making the break below exact (and the surviving
-                // argmin bit-identical to the dense DP).
-                double lb = 0.0;
-                for (std::size_t h = 0; h < levels; ++h)
-                    lb += rmins[h];
-
-                double best = std::numeric_limits<double>::infinity();
-                std::uint32_t best_prev = 0;
-                for (std::uint32_t k = 0; k < states; ++k) {
-                    const std::uint32_t p = order[k];
-                    if (cost[p] + lb > best)
-                        break; // every later p costs at least as much
-                    double t = 0.0;
-                    const std::uint16_t *pc = &pcol[std::size_t{p} *
-                                                    levels];
-                    for (std::size_t h = 0; h < levels; ++h)
-                        t += rows[h][pc[h]];
-                    ++count;
-                    const double c = cost[p] + t;
-                    if (better(c, p, best, best_prev)) {
-                        best = c;
-                        best_prev = p;
-                    }
-                }
-                next[s] = best + intra_l[s];
-                parent_l[s] = best_prev;
-            }
-        });
-        for (std::uint64_t e : evaluated)
-            total_evaluated += e;
-        cost.swap(next);
-    }
-
-    HierarchicalResult result =
-        assemblePlan(levels, num_layers, states, cost, parent);
-    result.transitionsEvaluated = total_evaluated;
-    result.stats.expanded =
-        static_cast<std::uint64_t>(states) * num_layers;
-    result.stats.certifiedExact = true; // exact: dominance-only pruning
-    result.stats.widthUsed = states;
-    // Every node stays expanded (the engine is exact), so `pruned`
-    // reports the work it skipped instead: the dominance-skipped
-    // transitions the early break never evaluated, complementing
-    // transitionsEvaluated to the dense engine's 4^H * (L-1) bill.
-    result.stats.pruned = static_cast<std::uint64_t>(states) * states *
-                              (num_layers - 1) -
-                          total_evaluated;
-    return result;
-}
-
-HierarchicalResult
-OptimalPartitioner::partitionBeam(std::size_t levels,
-                                  const SearchOptions &options) const
-{
-    if (levels > kWideMax)
-        util::fatal("OptimalPartitioner: beam engine capped at H = 16");
-    if (levels <= 2)
-        return partitionReference(levels);
-
-    const std::size_t num_layers = model_->numLayers();
-    HYPAR_ASSERT(num_layers > 0, "partitioning an empty network");
-    const std::size_t states = std::size_t{1} << levels;
-
-    WideTables tables;
-    tables.intra = intraTable(levels);
-    tables.inter = buildInterTables(*model_, levels);
-    tables.suffix =
-        suffixBound(*model_, levels, num_layers, tables.intra,
-                    tables.inter);
-
-    // Width policy: an explicit width runs one fixed pass; width 0 is
-    // adaptive growth by default (legacy fixed default with
-    // adaptiveBeam off). See SearchOptions.
-    const bool adaptive = options.beamWidth == 0 && options.adaptiveBeam;
-    std::size_t width;
-    if (options.beamWidth > 0)
-        width = std::min(options.beamWidth, states);
-    else if (adaptive)
-        width = std::min(options.beamWidthStart > 0
-                             ? options.beamWidthStart
-                             : kAdaptiveBeamStart,
-                         states);
-    else
-        width =
-            std::min(std::max(kDefaultBeamWidth, states / 16), states);
-
-    std::uint64_t total_evaluated = 0;
-    for (;;) {
-        BeamOutcome pass = beamPass(levels, num_layers, width, tables);
-        total_evaluated += pass.result.transitionsEvaluated;
-        // The certificate: every state any frontier dropped had
-        // f = g + h strictly above the achieved cost (with the slack
-        // absorbing float re-association), so no pruned path can beat
-        // or tie the returned plan — which therefore equals the dense
-        // DP's, cost and plan. Vacuously true when nothing was
-        // dropped (width >= 2^H: the beam is exhaustive).
-        const bool certified =
-            pass.minDroppedF > inflate(pass.result.commBytes);
-        if (!adaptive || certified || width >= states) {
-            HierarchicalResult result = std::move(pass.result);
-            result.transitionsEvaluated = total_evaluated;
-            result.stats.expanded = pass.expanded;
-            result.stats.pruned = pass.dropped;
-            result.stats.certifiedExact = certified;
-            result.stats.widthUsed = width;
-            return result;
-        }
-        width = std::min(width * kAdaptiveBeamGrowth, states);
-    }
-}
-
-HierarchicalResult
 OptimalPartitioner::partitionAStar(std::size_t levels) const
 {
     if (levels > kWideMax)
@@ -1005,10 +807,10 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
     // or exactly tie — the optimum, which is what keeps the surviving
     // search bit-identical to the dense DP (header, "admissible
     // suffix bound").
-    const BeamOutcome incumbent = beamPass(
+    const HierarchicalResult incumbent = beamPass(
         levels, num_layers,
         std::min<std::size_t>(kIncumbentBeamWidth, states), tables);
-    const double ub = inflate(incumbent.result.commBytes);
+    const double ub = inflate(incumbent.commBytes);
 
     const std::vector<std::uint16_t> pcol = buildPcol(levels);
     // Popcount class of every state (number of mp bits).
@@ -1099,7 +901,7 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
     std::vector<std::uint16_t> ordC2(nclass * std::size_t{states} *
                                      c2stride);
     std::vector<std::uint64_t> evaluated(chunks);
-    std::uint64_t total_evaluated = incumbent.result.transitionsEvaluated;
+    std::uint64_t total_evaluated = incumbent.transitionsEvaluated;
     std::uint64_t expanded = 0;
     std::uint64_t pruned = 0;
     std::size_t width_used = 0;

@@ -27,40 +27,18 @@
  *    over the level bits. Exact; capped at H = 10 by the 4^H transition
  *    blow-up.
  *
- *  - kSparse — exact like the dense DP but skips provably dominated
- *    transitions: predecessors are scanned in ascending (cost, index)
- *    order and the scan stops once cost[p] plus a per-target lower
- *    bound (the floating-point sum of per-level row minima of the
- *    factored inter table) can no longer beat the incumbent. Because
- *    rounding is monotone, the bound is safe in float arithmetic, so
- *    the result — cost and plan — is bit-identical to the dense DP.
- *    Reaches H = 16.
- *
- *  - kBeam — keeps only the `beamWidth` best states of each layer
- *    frontier as transition predecessors, ranked by f = g + h where h
- *    is the admissible suffix bound described below (falling back to
- *    the shared tie-break order on exact ties). Exhaustive (and
- *    bit-identical to the dense DP) when beamWidth >= 2^H. Every pass
- *    also computes an optimality *certificate*: if every state the
- *    beam ever dropped had f strictly above the returned cost, the
- *    plan is provably the exact optimum (SearchStats::certifiedExact).
- *    By default the width is adaptive — it grows geometrically until
- *    the certificate holds — so the default beam is self-certifying
- *    exact. Reaches H = 16.
- *
  *  - kAStar — exact best-first search over the same chain. A backward
  *    pass over the factored inter tables precomputes an admissible
  *    suffix bound h[l][s] <= the cheapest completion of layers
  *    l..L-1 from state s; a small beam pass supplies an incumbent
  *    upper bound; then a layer-ordered expansion relaxes only states
  *    whose g + h does not exceed the incumbent, scanning predecessors
- *    best-first with the sparse engine's per-target early break.
- *    Exact and bit-identical to the dense DP at every depth (the
- *    bound never prunes a state on an optimal path — see "The
- *    admissible suffix bound" below). H = 16 on VGG-E runs in ~22 s
- *    on the 1-core reference container where the sparse engine's
- *    per-target-only bound needs ~96 s, and the per-state loops
- *    parallelize on multi-core hosts.
+ *    best-first and stopping once their transition lower bound can
+ *    no longer beat the best candidate. Exact and bit-identical to
+ *    the dense DP at every depth (the bound never prunes a state on
+ *    an optimal path — see "The admissible suffix bound" below).
+ *    H = 16 on VGG-E runs in ~3.6 s on the 1-core reference box, and
+ *    the per-state loops parallelize on multi-core hosts.
  *
  *  - kAuto (default) — dense up to H = 10 (bit-exact historical
  *    behaviour for every depth that was previously reachable), A*
@@ -74,7 +52,7 @@
  *
  * ## The admissible suffix bound h[l][s]
  *
- * All wide engines share one heuristic table, built by suffixBound():
+ * A* prunes with one heuristic table, built by suffixBound():
  *
  *   h[L-1][s] = 0
  *   h[l][s]   = max( lbOut(l, s) + m[l+1],  M[l],  C(l, s) )
@@ -90,9 +68,11 @@
  *   m[l+1]      = min_s'( intra[l+1][s'] + h[l+1][s'] )  — the cheapest
  *                 possible rest-of-chain from any successor.
  *   M[l]        = min_s'( lbIn(l, s') + intra[l+1][s'] + h[l+1][s'] )
- *                 where lbIn is the sparse engine's per-target row-min
- *                 bound; a second valid lower bound (the max of any
- *                 set of admissible bounds is admissible).
+ *                 where lbIn(l, s') sums, over levels, the cheapest
+ *                 entry of the factored table row that target s'
+ *                 selects (a lower bound on every transition into
+ *                 s'); a second valid lower bound (the max of any set
+ *                 of admissible bounds is admissible).
  *   C(l, s)     = sum_h chain[l][h][s_h]: the joint cost decomposes
  *                 as a sum over levels, and for one level h the
  *                 per-layer dp/mp choices form a plain 2-state chain.
@@ -112,12 +92,11 @@
  * and m <= intra + h cover the first argument of the max, M[l] <=
  * lbIn + intra + h <= the expansion directly, and each per-level
  * chain obeys its own one-step recursion). Floating point
- * re-associates the
- * multi-layer sums, so comparisons against an incumbent C use the
- * inflated threshold C * (1 + kBoundSlack) with kBoundSlack = 1e-9:
- * the worst-case relative rounding drift of the <= 2L additions on any
- * root-to-leaf chain is ~2L * 2^-53 < 1e-14, five orders of magnitude
- * inside the slack, so a state is pruned (or a certificate granted)
+ * re-associates the multi-layer sums, so comparisons against an
+ * incumbent C use the inflated threshold C * (1 + kBoundSlack) with
+ * kBoundSlack = 1e-9: the worst-case relative rounding drift of the
+ * <= 2L additions on any root-to-leaf chain is ~2L * 2^-53 < 1e-14,
+ * five orders of magnitude inside the slack, so a state is pruned
  * only when its true float-semantics completion provably exceeds C.
  * Exact ties (g + h == C) are never pruned, which is what preserves
  * the shared tie-break rule and makes A* plans — not just costs —
@@ -143,54 +122,22 @@ namespace hypar::core {
 
 /** Which transition engine OptimalPartitioner::partition runs. */
 enum class SearchEngine {
-    kAuto,   //!< dense up to H = 10, A* beyond (exact everywhere)
-    kDense,  //!< exhaustive O(L * 4^H) table DP (exact, H <= 10)
-    kSparse, //!< exact DP with dominance pruning (H <= 16)
-    kBeam,   //!< frontier-pruned DP, self-certifying adaptive width
-    kAStar,  //!< exact best-first DP under the suffix bound (H <= 16)
+    kAuto,  //!< dense up to H = 10, A* beyond (exact everywhere)
+    kDense, //!< exhaustive O(L * 4^H) table DP (exact, H <= 10)
+    kAStar, //!< exact best-first DP under the suffix bound (H <= 16)
 };
 
-/** Parse "auto" | "dense" | "sparse" | "beam" | "astar" (fatal
- *  otherwise). */
+/** Parse "auto" | "dense" | "astar" (fatal otherwise). */
 SearchEngine searchEngineFromName(const std::string &name);
 
 /**
- * Tunables of the joint search. The defaults make every engine exact:
- * kAuto routes to dense or A*, and kBeam grows its width until its
- * optimality certificate holds (SearchStats::certifiedExact — see
- * hierarchical_partitioner.hh for the stats every search returns).
+ * Tunables of the joint search. Every engine is exact; kAuto routes to
+ * dense or A* (see hierarchical_partitioner.hh for the stats every
+ * search returns).
  */
 struct SearchOptions
 {
     SearchEngine engine = SearchEngine::kAuto;
-
-    /**
-     * Beam frontier width (kBeam only). 0 (default) leaves the width
-     * to the engine: adaptive growth when `adaptiveBeam` is set, the
-     * fixed legacy default max(1024, 2^H / 16) otherwise. A width
-     * >= 2^H keeps every state and makes the beam exhaustive — exact
-     * and bit-identical to the dense DP. An explicit width disables
-     * adaptive growth (single fixed-width pass, certificate still
-     * computed and reported).
-     */
-    std::size_t beamWidth = 0;
-
-    /**
-     * kBeam with beamWidth == 0: grow the width geometrically
-     * (x kAdaptiveBeamGrowth per pass, capped at 2^H) until the pass
-     * certifies exactness — every dropped state's g + h cleared the
-     * returned cost. The final pass's width is reported in
-     * SearchStats::widthUsed; transitionsEvaluated accumulates over
-     * all passes. Termination is guaranteed: at width 2^H nothing is
-     * dropped and the certificate holds vacuously.
-     */
-    bool adaptiveBeam = true;
-
-    /**
-     * Initial width of the adaptive growth (kBeam, beamWidth == 0,
-     * adaptiveBeam). 0 picks kAdaptiveBeamStart.
-     */
-    std::size_t beamWidthStart = 0;
 };
 
 /** Exact minimum-communication partitioner over all level vectors. */
@@ -200,17 +147,8 @@ class OptimalPartitioner
     /** Depth ceiling of the dense engine (4^H transition blow-up). */
     static constexpr std::size_t kDenseMaxLevels = 10;
 
-    /** Depth ceiling of the sparse/beam/A* engines (and of kAuto). */
+    /** Depth ceiling of the A* engine (and of kAuto). */
     static constexpr std::size_t kMaxLevels = 16;
-
-    /** Legacy fixed beam width floor; see SearchOptions::beamWidth. */
-    static constexpr std::size_t kDefaultBeamWidth = 1024;
-
-    /** First width the adaptive beam tries (SearchOptions). */
-    static constexpr std::size_t kAdaptiveBeamStart = 256;
-
-    /** Geometric growth factor between adaptive beam passes. */
-    static constexpr std::size_t kAdaptiveBeamGrowth = 4;
 
     /** Width of the internal beam pass that seeds the A* incumbent. */
     static constexpr std::size_t kIncumbentBeamWidth = 64;
@@ -226,7 +164,7 @@ class OptimalPartitioner
      */
     HierarchicalResult partition(std::size_t levels) const;
 
-    /** Same search with an explicit engine / beam width. */
+    /** Same search with an explicit engine. */
     HierarchicalResult partition(std::size_t levels,
                                  const SearchOptions &options) const;
 
@@ -251,20 +189,17 @@ class OptimalPartitioner
 
     /**
      * The admissible per-(layer, state) completion bound h[l][s] the
-     * beam and A* engines prune with: a lower bound (in the DP's own
+     * A* engine prunes with: a lower bound (in the DP's own
      * float semantics, minus the re-association drift kBoundSlack
      * absorbs) on the cost of layers after l given layer l in level
      * vector s, flat [l * 2^H + s]. Exposed so external enumerations
      * — bruteForceHierarchical's Gray walk — can prune against the
-     * same certificate the engines use. Fatal for levels > 16.
+     * same bound the A* engine uses. Fatal for levels > 16.
      */
     std::vector<double> suffixTable(std::size_t levels) const;
 
   private:
     HierarchicalResult partitionDense(std::size_t levels) const;
-    HierarchicalResult partitionSparse(std::size_t levels) const;
-    HierarchicalResult partitionBeam(std::size_t levels,
-                                     const SearchOptions &options) const;
     HierarchicalResult partitionAStar(std::size_t levels) const;
 
     /** Flat intra[l * 2^levels + s] table, filled on the pool. */

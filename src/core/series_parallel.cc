@@ -212,7 +212,7 @@ struct SolveContext
     std::size_t levels;
     std::size_t states;
     std::size_t num_layers;
-    bool early_break; // sparse / A* series merge
+    bool early_break; // A* series merge
     const std::vector<double> *intra; // [l * states + s]
     std::uint64_t transitions = 0;
     std::uint64_t pruned = 0;
@@ -364,8 +364,7 @@ searchSeriesParallel(const CommModel &model, std::size_t levels,
     ctx.levels = levels;
     ctx.states = S;
     ctx.num_layers = num_layers;
-    ctx.early_break = engine == SearchEngine::kSparse ||
-                      engine == SearchEngine::kAStar;
+    ctx.early_break = engine == SearchEngine::kAStar;
     ctx.intra = &intra;
 
     const SpTable top = solve(nodes, root, ctx);

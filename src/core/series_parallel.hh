@@ -53,15 +53,16 @@
  * precision, the per-branch (cost, key) minima compose to the global
  * lexicographic minimum, and the DP total equals planBytes() of the
  * returned plan bit-for-bit. The randomized differential suite
- * (tests/test_dag_differential.cc) pins all four engines against the
+ * (tests/test_dag_differential.cc) pins every engine against the
  * flat enumeration oracle on both claims.
  *
- * Engine mapping on DAGs: dense and beam run the full series merge;
- * sparse and A* scan middle states in ascending A-side order and stop
- * once that part alone exceeds the incumbent (admissible because the
- * B-side addend is non-negative and float rounding is monotone:
+ * Engine mapping on DAGs: dense (and auto, which resolves to dense at
+ * the H <= 8 this search accepts) runs the full series merge; A*
+ * scans middle states in ascending A-side order and stops once that
+ * part alone exceeds the incumbent (admissible because the B-side
+ * addend is non-negative and float rounding is monotone:
  * apart > best implies fl(apart + b) >= apart > best, so nothing
- * skipped could win or even tie). All four are exact and certify
+ * skipped could win or even tie). Both are exact and certify
  * (SearchStats::certifiedExact), with widthUsed = 2^H.
  */
 

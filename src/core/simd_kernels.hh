@@ -6,13 +6,13 @@
  * Three loop shapes dominate the table engines (ISSUE 8 / ROADMAP
  * item 5): the level-bit expansion that materializes all 2^H
  * transition sums from one factored row pair, the dense engine's
- * predecessor argmin over cost[p] + trans[p], and the beam engine's
- * elementwise relax of one predecessor into a (best, prev) row. All
- * three are branch-light float reduces over contiguous tables — prime
- * AVX2 targets — while the A* predecessor scan stays scalar on
- * purpose: its candidate walk is data-dependent and gathers from
- * state-indexed tables, where Skylake-class gather throughput makes a
- * vector version break-even at best (measured; see
+ * predecessor argmin over cost[p] + trans[p], and the elementwise
+ * relax of one predecessor into a (best, prev) row in A*'s incumbent
+ * beam pass. All three are branch-light float reduces over contiguous
+ * tables — prime AVX2 targets — while the A* predecessor scan stays
+ * scalar on purpose: its candidate walk is data-dependent and gathers
+ * from state-indexed tables, where Skylake-class gather throughput
+ * makes a vector version break-even at best (measured; see
  * bench_partitioner_micro).
  *
  * Bit-identity by construction: every vector kernel performs exactly

@@ -80,12 +80,13 @@ planSuffix(const std::string &strategy, const core::SearchOptions &search)
     std::string out = "[plan]\n";
     appendKV(out, "strategy", strategy);
     appendKV(out, "engine", searchEngineName(search.engine));
-    appendKV(out, "beam_width", search.beamWidth);
-    appendKV(out, "adaptive_beam", search.adaptiveBeam ? "1" : "0");
-    // SearchOptions::beamWidthStart (the request's width_hint) is
-    // deliberately NOT keyed: the warm start only skips the adaptive
-    // beam's ramp, the plan and cost are bit-identical with or without
-    // it — keying it forked duplicate cache entries per hint value.
+    // The retired beam engine's knobs, frozen at their old defaults.
+    // Rendering them as constant text keeps every default request's
+    // key text, so the pinned golden digests and every on-disk cache
+    // entry stay valid without a kCanonicalVersion or
+    // kPlanCacheVersion bump.
+    appendKV(out, "beam_width", "0");
+    appendKV(out, "adaptive_beam", "1");
     return out;
 }
 
@@ -125,8 +126,6 @@ searchEngineName(core::SearchEngine engine)
     switch (engine) {
       case core::SearchEngine::kAuto: return "auto";
       case core::SearchEngine::kDense: return "dense";
-      case core::SearchEngine::kSparse: return "sparse";
-      case core::SearchEngine::kBeam: return "beam";
       case core::SearchEngine::kAStar: return "astar";
     }
     util::fatal("unknown search engine");

@@ -30,11 +30,8 @@
  *    sim::Evaluator depends on. The session registry keys on it.
  *  - planHash(network, config, strategy, search): contextHash's
  *    payload plus the strategy and core::SearchOptions. The on-disk
- *    plan cache keys on it, because the searched plan (and its
- *    SearchStats certificate) depends on the engine knobs too.
- *    SearchOptions::beamWidthStart (the protocol's width_hint) is
- *    excluded: it is a pure warm start — results are bit-identical
- *    with or without it — so it must not fork cache entries.
+ *    plan cache keys on it, because the searched plan's SearchStats
+ *    depend on the engine too.
  *
  * sweepHash(network, config, strategy, search, level) extends the plan
  * payload with the swept hierarchy level; the on-disk sweep-result

@@ -91,10 +91,12 @@
 
 namespace hypar::serve {
 
-/** On-disk format version; bump on any layout change. Version 2:
- *  width_hint left the canonical plan-key text (ISSUE 10), so version-1
- *  entries — keyed under the old text — quarantine instead of lingering
- *  as unreachable stale files. */
+/** On-disk format version; bump on any layout change. Version 2: the
+ *  canonical plan-key text changed, so version-1 entries — keyed under
+ *  the old text — quarantine instead of lingering as unreachable stale
+ *  files. Entries keyed under a retired engine or beam knob are never
+ *  read again (no request renders that text any more); they need no
+ *  bump because every live key text is unchanged. */
 inline constexpr int kPlanCacheVersion = 2;
 
 /** Format tag every plan entry must carry. */

@@ -44,8 +44,6 @@ struct Request
     std::string topology = "htree";
     std::string strategy = "hypar";
     std::string engine = "auto";
-    std::size_t beamWidth = 0;
-    std::size_t widthHint = 0;
     bool overlap = false;
     arch::FaultMap faults;
     std::vector<std::string> planBits;
@@ -141,10 +139,6 @@ parseRequest(const std::string &line, Request &req)
         req.strategy = v->asString();
     if (const JsonValue *v = root.find("engine"))
         req.engine = v->asString();
-    if (const JsonValue *v = root.find("beam_width"))
-        req.beamWidth = asSize(*v, "beam_width");
-    if (const JsonValue *v = root.find("width_hint"))
-        req.widthHint = asSize(*v, "width_hint");
     if (const JsonValue *v = root.find("overlap"))
         req.overlap = v->asBool();
     if (const JsonValue *v = root.find("faults")) {
@@ -215,15 +209,6 @@ buildSearch(const Request &req)
 {
     core::SearchOptions search;
     search.engine = core::searchEngineFromName(req.engine);
-    search.beamWidth = req.beamWidth;
-    // Warm start: a client that threads a prior response's
-    // `width_used` back skips the adaptive beam's width-doubling ramp
-    // straight to the measured plateau. Exactness is unaffected — the
-    // adaptive loop still certifies (and keeps growing) from
-    // whatever width it starts at — so the plan and cost stay
-    // bit-identical with or without the hint (which is also why the
-    // hint is excluded from the plan-cache key).
-    search.beamWidthStart = req.widthHint;
     return search;
 }
 

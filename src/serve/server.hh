@@ -90,10 +90,7 @@ inline constexpr const char *kRequestFields[] = {
     "batch",     // mini-batch size (default 256)
     "topology",  // htree | torus | mesh (default htree)
     "strategy",  // hypar | dp | mp | owt | optimal (default hypar)
-    "engine",    // optimal: auto | dense | sparse | beam | astar
-    "beam_width", // optimal: beam width (0 = adaptive)
-    "width_hint", // optimal: warm-start width for the adaptive beam
-                  //          (thread a prior result's width_used back)
+    "engine",    // optimal: auto | dense | astar
     "overlap",   // overlap gradient reductions (default false)
     "faults",    // {"nodes": [[id, scale]...], "links": [[id, scale]...]}
     "plan",      // evaluate: explicit plan, one bit string per level

@@ -25,6 +25,8 @@
 #include "dnn/builder.hh"
 #include "dnn/model_zoo.hh"
 
+#include "support/sparse_oracle.hh"
+
 using namespace hypar;
 using core::CommConfig;
 using core::CommModel;
@@ -190,13 +192,13 @@ TEST(EquivalenceRandom, OptimalPartitionerMatchesReference)
     }
 }
 
-TEST(EquivalenceRandom, SparseBeamAndAStarEnginesMatchDenseDp)
+TEST(EquivalenceRandom, AStarAndSparseOracleMatchDenseDp)
 {
-    // The sparse engine prunes with a monotone floating-point lower
-    // bound, the beam engine is exhaustive whenever its width covers
-    // 2^H, and the A* engine prunes against its admissible suffix
-    // bound — all three must reproduce the dense DP bit for bit across
-    // random networks, depths up to the old ceiling, and model configs.
+    // The A* engine prunes against its admissible suffix bound and the
+    // sparse test oracle with a monotone floating-point lower bound;
+    // both must reproduce the dense DP bit for bit across random
+    // networks, depths up to the old ceiling, and model configs. This
+    // is also what qualifies the oracle as A*'s reference past H = 10.
     std::mt19937 rng(606);
     std::uniform_int_distribution<std::size_t> levels(3, 8);
     for (int trial = 0; trial < 60; ++trial) {
@@ -207,21 +209,10 @@ TEST(EquivalenceRandom, SparseBeamAndAStarEnginesMatchDenseDp)
         const std::size_t h = levels(rng);
         const auto dense = partitioner.partition(h);
 
-        core::SearchOptions sparse;
-        sparse.engine = core::SearchEngine::kSparse;
-        const auto sp = partitioner.partition(h, sparse);
+        const auto sp = tests::sparseOracle(model, h);
         EXPECT_EQ(sp.commBytes, dense.commBytes)
             << "trial " << trial << " H=" << h;
         EXPECT_EQ(sp.plan, dense.plan) << "trial " << trial << " H=" << h;
-
-        // Default width (>= 1024) covers every state at H <= 8, so the
-        // beam is exhaustive and exact here.
-        core::SearchOptions beam;
-        beam.engine = core::SearchEngine::kBeam;
-        const auto bm = partitioner.partition(h, beam);
-        EXPECT_EQ(bm.commBytes, dense.commBytes)
-            << "trial " << trial << " H=" << h;
-        EXPECT_EQ(bm.plan, dense.plan) << "trial " << trial << " H=" << h;
 
         core::SearchOptions astar;
         astar.engine = core::SearchEngine::kAStar;
@@ -236,10 +227,10 @@ TEST(EquivalenceRandom, SparseBeamAndAStarEnginesMatchDenseDp)
 
 TEST(EquivalenceRandom, AStarMatchesSparsePastTheDenseCeiling)
 {
-    // Above H = 10 the dense oracle is gone; the sparse engine (exact
-    // by dominance pruning alone) stands in. A* must agree bit for bit
-    // at depths the dense DP cannot reach, across random networks and
-    // model configs.
+    // Above H = 10 the dense oracle is gone; the sparse test oracle
+    // (exact by dominance pruning alone) stands in. A* must agree bit
+    // for bit at depths the dense DP cannot reach, across random
+    // networks and model configs.
     std::mt19937 rng(909);
     std::uniform_int_distribution<std::size_t> levels(11, 13);
     for (int trial = 0; trial < 6; ++trial) {
@@ -248,9 +239,7 @@ TEST(EquivalenceRandom, AStarMatchesSparsePastTheDenseCeiling)
         const core::OptimalPartitioner partitioner(model);
 
         const std::size_t h = levels(rng);
-        core::SearchOptions sparse;
-        sparse.engine = core::SearchEngine::kSparse;
-        const auto sp = partitioner.partition(h, sparse);
+        const auto sp = tests::sparseOracle(model, h);
 
         core::SearchOptions astar;
         astar.engine = core::SearchEngine::kAStar;
@@ -262,64 +251,16 @@ TEST(EquivalenceRandom, AStarMatchesSparsePastTheDenseCeiling)
         EXPECT_TRUE(as.stats.certifiedExact);
     }
 
-    // One zoo instance at the H = 14 reach of both engines.
+    // One zoo instance at H = 14.
     const dnn::Network net = dnn::makeLenetC();
     const CommModel model(net, CommConfig{});
     const core::OptimalPartitioner partitioner(model);
-    core::SearchOptions sparse;
-    sparse.engine = core::SearchEngine::kSparse;
-    const auto sp = partitioner.partition(14, sparse);
+    const auto sp = tests::sparseOracle(model, 14);
     core::SearchOptions astar;
     astar.engine = core::SearchEngine::kAStar;
     const auto as = partitioner.partition(14, astar);
     EXPECT_EQ(as.commBytes, sp.commBytes);
     EXPECT_EQ(as.plan, sp.plan);
-}
-
-TEST(EquivalenceRandom, CertifiedBeamResultsMatchAStar)
-{
-    // The property the adaptive beam's certificate promises: whenever
-    // a beam pass reports certifiedExact — at whatever width it
-    // self-selected, starting from a deliberately tiny frontier — its
-    // cost *and plan* equal the A* engine's exact optimum.
-    std::mt19937 rng(1010);
-    std::uniform_int_distribution<std::size_t> levels(4, 9);
-    for (int trial = 0; trial < 25; ++trial) {
-        const dnn::Network net = randomNetwork(rng);
-        const CommModel model(net, randomConfig(rng));
-        const core::OptimalPartitioner partitioner(model);
-        const std::size_t h = levels(rng);
-
-        core::SearchOptions astar;
-        astar.engine = core::SearchEngine::kAStar;
-        const auto exact = partitioner.partition(h, astar);
-
-        core::SearchOptions adaptive;
-        adaptive.engine = core::SearchEngine::kBeam;
-        adaptive.beamWidthStart = 4;
-        const auto bm = partitioner.partition(h, adaptive);
-        ASSERT_TRUE(bm.stats.certifiedExact)
-            << "trial " << trial << " H=" << h;
-        EXPECT_EQ(bm.commBytes, exact.commBytes)
-            << "trial " << trial << " H=" << h;
-        EXPECT_EQ(bm.plan, exact.plan) << "trial " << trial << " H=" << h;
-
-        // A starved fixed-width pass may or may not certify, but its
-        // claim must stay honest either way.
-        core::SearchOptions starved;
-        starved.engine = core::SearchEngine::kBeam;
-        starved.beamWidth = 3;
-        const auto fx = partitioner.partition(h, starved);
-        if (fx.stats.certifiedExact) {
-            EXPECT_EQ(fx.commBytes, exact.commBytes)
-                << "trial " << trial << " H=" << h;
-            EXPECT_EQ(fx.plan, exact.plan)
-                << "trial " << trial << " H=" << h;
-        } else {
-            EXPECT_GE(fx.commBytes, exact.commBytes)
-                << "trial " << trial << " H=" << h;
-        }
-    }
 }
 
 TEST(EquivalenceRandom, GrayCodeHierarchicalMatchesReference)
@@ -366,8 +307,7 @@ TEST(EquivalenceRandom, JointDpMatchesGrayCodeHierarchicalOracle)
         const auto brute = core::bruteForceHierarchical(model, h);
 
         for (auto engine :
-             {core::SearchEngine::kDense, core::SearchEngine::kSparse,
-              core::SearchEngine::kBeam, core::SearchEngine::kAStar}) {
+             {core::SearchEngine::kDense, core::SearchEngine::kAStar}) {
             core::SearchOptions opts;
             opts.engine = engine;
             const auto exact = partitioner.partition(h, opts);

@@ -8,17 +8,21 @@
  *     search engine's plan and cost, topology exchange times, and
  *     simulated step metrics. EXPECT_EQ on doubles, no tolerance.
  *
- *  2. *Degraded exactness*: with non-trivial level penalties the four
- *     joint-DP engines must still agree with each other and with the
- *     Gray-code enumeration oracle — the penalty is a uniform per-level
- *     weight, so every exactness/dominance/admissibility argument
- *     carries over, and this suite is the empirical check.
+ *  2. *Degraded exactness*: with non-trivial level penalties the
+ *     joint-DP engines and the sparse test oracle must still agree
+ *     with each other and with the Gray-code enumeration oracle — the
+ *     penalty is a uniform per-level weight, so every
+ *     exactness/dominance/admissibility argument carries over, and
+ *     this suite is the empirical check. The A* suffix bound's
+ *     admissibility and consistency are checked directly, against an
+ *     exact backward DP, on pristine and degraded tables alike.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <sstream>
 
@@ -34,6 +38,8 @@
 #include "sim/robust.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
+
+#include "support/sparse_oracle.hh"
 
 using namespace hypar;
 using arch::FaultMap;
@@ -168,8 +174,8 @@ TEST(FaultsDifferential, AllOnesFaultMapIsBitIdenticalEndToEnd)
 
 TEST(FaultsDifferential, EnginesStayExactOnDegradedCostTables)
 {
-    // Randomized equivalence on *degraded* models: all four engines
-    // agree with each other bit for bit and with the Gray-code
+    // Randomized equivalence on *degraded* models: A* and the sparse
+    // test oracle agree with the dense DP bit for bit and with the Gray-code
     // hierarchical oracle, under random per-level penalties.
     std::mt19937 rng(2024);
     for (int trial = 0; trial < 25; ++trial) {
@@ -193,19 +199,14 @@ TEST(FaultsDifferential, EnginesStayExactOnDegradedCostTables)
                     1e-12 * dense.commBytes)
             << "trial " << trial;
 
-        for (auto engine :
-             {core::SearchEngine::kSparse, core::SearchEngine::kBeam,
-              core::SearchEngine::kAStar}) {
-            core::SearchOptions opts;
-            opts.engine = engine;
-            const auto result = partitioner.partition(h, opts);
-            EXPECT_EQ(result.commBytes, dense.commBytes)
-                << "trial " << trial << " engine "
-                << static_cast<int>(engine);
-            EXPECT_EQ(result.plan, dense.plan)
-                << "trial " << trial << " engine "
-                << static_cast<int>(engine);
-        }
+        core::SearchOptions astar;
+        astar.engine = core::SearchEngine::kAStar;
+        const auto as = partitioner.partition(h, astar);
+        EXPECT_EQ(as.commBytes, dense.commBytes) << "trial " << trial;
+        EXPECT_EQ(as.plan, dense.plan) << "trial " << trial;
+        const auto sp = tests::sparseOracle(model, h);
+        EXPECT_EQ(sp.commBytes, dense.commBytes) << "trial " << trial;
+        EXPECT_EQ(sp.plan, dense.plan) << "trial " << trial;
 
         // The Gray-code joint enumerator matches its naive recursion
         // on degraded tables too.
@@ -225,6 +226,91 @@ TEST(FaultsDifferential, EnginesStayExactOnDegradedCostTables)
                     1e-12 * greedy.commBytes)
             << "trial " << trial;
     }
+}
+
+TEST(FaultsDifferential, SuffixBoundIsAdmissibleAndConsistent)
+{
+    // The A* suffix bound h[l][s], checked directly rather than through
+    // the engine: bruteForceHierarchical's Gray walk prunes with the
+    // same table, so engine-vs-oracle agreement alone cannot catch a
+    // bound that over-prunes. The exact completion cost comes from a
+    // backward DP over the public intraCost/interCost:
+    //
+    //   exact[L-1][s] = 0
+    //   exact[l][s]   = min over s' of  trans(l, s, s') + intra(l+1, s')
+    //                                   + exact[l+1][s']
+    //
+    // Admissibility: h[l][s] <= exact[l][s]. Consistency: h[l][s] <=
+    // trans(l, s, s') + intra(l+1, s') + h[l+1][s'] for every s'. Both
+    // hold within the (1 + 1e-9) slack optimal_partitioner.hh documents
+    // for float re-association.
+    constexpr double kSlack = 1.0 + 1e-9;
+    std::mt19937 rng(4242);
+    std::uniform_int_distribution<std::size_t> depth(1, 8);
+    std::bernoulli_distribution degrade(0.5);
+    std::size_t positive = 0; // bound entries that prune anything
+    std::size_t degraded_trials = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        const dnn::Network net = randomNetwork(rng);
+        const std::size_t h = depth(rng);
+        CommConfig cfg = randomConfig(rng);
+        if (degrade(rng)) {
+            cfg.levelPenalties = randomPenalties(h, rng);
+            ++degraded_trials;
+        }
+        const CommModel model(net, cfg);
+        const core::OptimalPartitioner opt(model);
+        const std::vector<double> bound = opt.suffixTable(h);
+        const std::size_t layers = net.size();
+        const std::uint32_t states = 1u << h;
+        ASSERT_EQ(bound.size(), layers * states) << "trial " << trial;
+        for (std::uint32_t s = 0; s < states; ++s)
+            EXPECT_EQ(bound[(layers - 1) * states + s], 0.0)
+                << "trial " << trial;
+
+        std::size_t violations = 0;
+        std::string first;
+        const auto report = [&](const char *what, std::size_t l,
+                                std::uint32_t s, double hv, double limit) {
+            if (violations++ == 0) {
+                std::ostringstream os;
+                os << what << ": trial " << trial << " H=" << h << " l="
+                   << l << " s=" << s << " h=" << hv << " > " << limit;
+                first = os.str();
+            }
+        };
+        std::vector<double> exact_next(states, 0.0);
+        std::vector<double> exact(states);
+        std::vector<double> intra_next(states);
+        for (std::size_t l = layers - 1; l-- > 0;) {
+            const double *h_l = &bound[l * states];
+            const double *h_next = &bound[(l + 1) * states];
+            for (std::uint32_t s = 0; s < states; ++s)
+                intra_next[s] = opt.intraCost(l + 1, s, h);
+            for (std::uint32_t s = 0; s < states; ++s) {
+                double best = std::numeric_limits<double>::infinity();
+                for (std::uint32_t t = 0; t < states; ++t) {
+                    const double step =
+                        opt.interCost(l, s, t, h) + intra_next[t];
+                    best = std::min(best, step + exact_next[t]);
+                    if (h_l[s] > (step + h_next[t]) * kSlack)
+                        report("inconsistent", l, s, h_l[s],
+                               step + h_next[t]);
+                }
+                exact[s] = best;
+                if (h_l[s] > best * kSlack)
+                    report("inadmissible", l, s, h_l[s], best);
+                positive += h_l[s] > 0.0 ? 1u : 0u;
+            }
+            exact_next.swap(exact);
+        }
+        EXPECT_EQ(violations, 0u) << first;
+    }
+    // Not vacuous: both table kinds were drawn, and the bound is not
+    // the trivial all-zero table.
+    EXPECT_GT(degraded_trials, 0u);
+    EXPECT_LT(degraded_trials, 40u);
+    EXPECT_GT(positive, 0u);
 }
 
 TEST(FaultsDifferential, DegradedArraysAreNeverFasterAndReplanHelps)

@@ -53,14 +53,12 @@ TEST(HyparcArgs, ParsesSearchEngineFlags)
 {
     const auto opts = parseArgs({"plan", "--model", "Lenet-c",
                                  "--strategy", "optimal", "--engine",
-                                 "beam", "--beam-width", "64"});
+                                 "astar"});
     EXPECT_EQ(opts.strategy, "optimal");
-    EXPECT_EQ(opts.engine, "beam");
-    EXPECT_EQ(opts.beamWidth, 64u);
-    // Defaults: auto engine, engine-chosen width.
+    EXPECT_EQ(opts.engine, "astar");
+    // Default: the auto engine.
     const auto defaults = parseArgs({"plan", "--model", "Lenet-c"});
     EXPECT_EQ(defaults.engine, "auto");
-    EXPECT_EQ(defaults.beamWidth, 0u);
 }
 
 TEST(HyparcCommands, OptimalStrategyHonorsEngines)
@@ -69,21 +67,13 @@ TEST(HyparcCommands, OptimalStrategyHonorsEngines)
     const std::string dense = run({"plan", "--model", "Lenet-c",
                                    "--strategy", "optimal", "--engine",
                                    "dense"});
-    const std::string sparse = run({"plan", "--model", "Lenet-c",
-                                    "--strategy", "optimal", "--engine",
-                                    "sparse"});
-    const std::string beam = run({"plan", "--model", "Lenet-c",
-                                  "--strategy", "optimal", "--engine",
-                                  "beam"});
     const std::string astar = run({"plan", "--model", "Lenet-c",
                                    "--strategy", "optimal", "--engine",
                                    "astar"});
-    EXPECT_EQ(dense, sparse);
-    EXPECT_EQ(dense, beam);
     EXPECT_EQ(dense, astar);
     EXPECT_NE(dense.find("total communication"), std::string::npos);
 
-    // Past the dense ceiling only through sparse/beam (or auto).
+    // Past the dense ceiling only through astar (or auto).
     std::ostringstream os;
     EXPECT_THROW(runCommand(parseArgs({"plan", "--model", "Lenet-c",
                                        "--levels", "12", "--strategy",
@@ -95,11 +85,15 @@ TEST(HyparcCommands, OptimalStrategyHonorsEngines)
                                   "optimal"});
     EXPECT_NE(wide.find("H12:"), std::string::npos);
 
-    EXPECT_THROW(runCommand(parseArgs({"plan", "--model", "Lenet-c",
-                                       "--strategy", "optimal",
-                                       "--engine", "bogus"}),
-                            os),
-                 util::FatalError);
+    // The retired engines are rejected like any unknown name.
+    for (const char *engine : {"bogus", "sparse", "beam"}) {
+        EXPECT_THROW(runCommand(parseArgs({"plan", "--model", "Lenet-c",
+                                           "--strategy", "optimal",
+                                           "--engine", engine}),
+                                os),
+                     util::FatalError)
+            << engine;
+    }
 }
 
 TEST(HyparcArgs, Rejections)
@@ -107,6 +101,9 @@ TEST(HyparcArgs, Rejections)
     EXPECT_THROW(parseArgs({}), util::FatalError);
     EXPECT_THROW(parseArgs({"plan", "--model"}), util::FatalError);
     EXPECT_THROW(parseArgs({"plan", "--bogus", "1"}), util::FatalError);
+    // --beam-width left with the beam engine.
+    EXPECT_THROW(parseArgs({"plan", "--beam-width", "64"}),
+                 util::FatalError);
     EXPECT_THROW(runCommand(parseArgs({"explode"}), std::cout),
                  util::FatalError);
     // plan without any network source.

@@ -16,6 +16,8 @@
 #include "dnn/model_zoo.hh"
 #include "util/logging.hh"
 
+#include "support/sparse_oracle.hh"
+
 using namespace hypar;
 using core::CommConfig;
 using core::CommModel;
@@ -43,7 +45,6 @@ TEST(OptimalPartitioner, MatchesExhaustiveSearchOnTinyNets)
                 core::bruteForceHierarchical(model, levels);
             for (auto engine :
                  {core::SearchEngine::kAuto, core::SearchEngine::kDense,
-                  core::SearchEngine::kSparse, core::SearchEngine::kBeam,
                   core::SearchEngine::kAStar}) {
                 core::SearchOptions opts;
                 opts.engine = engine;
@@ -59,9 +60,9 @@ TEST(OptimalPartitioner, MatchesExhaustiveSearchOnTinyNets)
 
 TEST(OptimalPartitioner, WideEnginesBitIdenticalToDenseAtTheOldCeiling)
 {
-    // The sparse engine is exact by construction; the beam engine is
-    // exhaustive whenever its width covers all 2^H states. Both must
-    // reproduce the dense DP bit for bit at the old H = 10 ceiling.
+    // A* and the sparse test oracle must both reproduce the dense DP
+    // bit for bit at the old H = 10 ceiling — the oracle has to earn
+    // its place as the reference above it.
     dnn::NetworkBuilder b("deep8", {256, 1, 1});
     for (int l = 0; l < 8; ++l)
         b.fc("fc" + std::to_string(l), l % 2 ? 512 : 128);
@@ -71,25 +72,9 @@ TEST(OptimalPartitioner, WideEnginesBitIdenticalToDenseAtTheOldCeiling)
 
     const auto dense = opt.partition(10);
 
-    core::SearchOptions sparse;
-    sparse.engine = core::SearchEngine::kSparse;
-    const auto sp = opt.partition(10, sparse);
-    EXPECT_EQ(sp.commBytes, dense.commBytes);
-    EXPECT_EQ(sp.plan, dense.plan);
-    // The whole point of the sparse engine: it proves most transitions
-    // dominated without evaluating them.
-    EXPECT_LT(sp.transitionsEvaluated, dense.transitionsEvaluated / 2);
-
-    core::SearchOptions beam;
-    beam.engine = core::SearchEngine::kBeam;
-    beam.beamWidth = std::size_t{1} << 10; // exhaustive
-    const auto bm = opt.partition(10, beam);
-    EXPECT_EQ(bm.commBytes, dense.commBytes);
-    EXPECT_EQ(bm.plan, dense.plan);
-    EXPECT_EQ(bm.transitionsEvaluated, dense.transitionsEvaluated);
-    // Nothing dropped at full width -> the certificate is vacuous.
-    EXPECT_TRUE(bm.stats.certifiedExact);
-    EXPECT_EQ(bm.stats.pruned, 0u);
+    const auto oracle = tests::sparseOracle(model, 10);
+    EXPECT_EQ(oracle.commBytes, dense.commBytes);
+    EXPECT_EQ(oracle.plan, dense.plan);
 
     core::SearchOptions astar;
     astar.engine = core::SearchEngine::kAStar;
@@ -107,10 +92,9 @@ TEST(OptimalPartitioner, WideEnginesBitIdenticalToDenseAtTheOldCeiling)
 
 TEST(OptimalPartitioner, WideEnginesStayExactPastTheOldCeiling)
 {
-    // H = 12 exceeds the dense ceiling. The exhaustive beam (width =
-    // 2^12) is exact there; kAuto (now the A* engine) and the sparse
-    // engine must reproduce it bit for bit, and kAuto must get there
-    // with fewer relaxations than exhaustion.
+    // H = 12 exceeds the dense ceiling. kAuto (the A* engine there)
+    // must reproduce the sparse oracle bit for bit, with fewer
+    // relaxations than exhaustion's 4^12 per transition.
     dnn::NetworkBuilder b("deep8", {256, 1, 1});
     for (int l = 0; l < 8; ++l)
         b.fc("fc" + std::to_string(l), l % 2 ? 512 : 128);
@@ -118,81 +102,15 @@ TEST(OptimalPartitioner, WideEnginesStayExactPastTheOldCeiling)
     CommModel model(net, CommConfig{});
     OptimalPartitioner opt(model);
 
-    core::SearchOptions exhaustive;
-    exhaustive.engine = core::SearchEngine::kBeam;
-    exhaustive.beamWidth = std::size_t{1} << 12;
-    const auto exact = opt.partition(12, exhaustive);
+    const auto exact = tests::sparseOracle(model, 12);
 
     const auto pruned = opt.partition(12); // kAuto -> A*
     EXPECT_EQ(pruned.commBytes, exact.commBytes);
     EXPECT_EQ(pruned.plan, exact.plan);
     EXPECT_TRUE(pruned.stats.certifiedExact);
-    EXPECT_LT(pruned.transitionsEvaluated, exact.transitionsEvaluated);
-
-    core::SearchOptions sparse;
-    sparse.engine = core::SearchEngine::kSparse;
-    const auto sp = opt.partition(12, sparse);
-    EXPECT_EQ(sp.commBytes, exact.commBytes);
-    EXPECT_EQ(sp.plan, exact.plan);
-}
-
-TEST(OptimalPartitioner, AdaptiveBeamSelfCertifiesAcrossTheZoo)
-{
-    // The adaptive beam grows from a deliberately tiny start width
-    // until its optimality certificate holds; the certified result
-    // must equal the A* optimum bit for bit on every zoo model.
-    for (const auto &net : dnn::allModels()) {
-        CommModel model(net, CommConfig{});
-        OptimalPartitioner opt(model);
-
-        core::SearchOptions astar;
-        astar.engine = core::SearchEngine::kAStar;
-        const auto exact = opt.partition(9, astar);
-
-        core::SearchOptions adaptive;
-        adaptive.engine = core::SearchEngine::kBeam;
-        adaptive.beamWidthStart = 16;
-        const auto bm = opt.partition(9, adaptive);
-        EXPECT_TRUE(bm.stats.certifiedExact) << net.name();
-        EXPECT_GE(bm.stats.widthUsed, 16u) << net.name();
-        EXPECT_LE(bm.stats.widthUsed, std::size_t{1} << 9)
-            << net.name();
-        EXPECT_EQ(bm.commBytes, exact.commBytes) << net.name();
-        EXPECT_EQ(bm.plan, exact.plan) << net.name();
-    }
-}
-
-TEST(OptimalPartitioner, FixedWidthBeamReportsItsCertificateHonestly)
-{
-    // A deliberately starved fixed-width beam must never *claim*
-    // exactness unless its plan really is the A* optimum; and with
-    // adaptive growth disabled, width 0 keeps the legacy default.
-    const dnn::Network net = dnn::makeVggA();
-    CommModel model(net, CommConfig{});
-    OptimalPartitioner opt(model);
-
-    core::SearchOptions astar;
-    astar.engine = core::SearchEngine::kAStar;
-    const auto exact = opt.partition(11, astar);
-
-    core::SearchOptions starved;
-    starved.engine = core::SearchEngine::kBeam;
-    starved.beamWidth = 2;
-    const auto bm = opt.partition(11, starved);
-    EXPECT_EQ(bm.stats.widthUsed, 2u);
-    EXPECT_GE(bm.commBytes, exact.commBytes);
-    if (bm.stats.certifiedExact) {
-        EXPECT_EQ(bm.commBytes, exact.commBytes);
-        EXPECT_EQ(bm.plan, exact.plan);
-    }
-
-    core::SearchOptions legacy;
-    legacy.engine = core::SearchEngine::kBeam;
-    legacy.adaptiveBeam = false;
-    const auto lg = opt.partition(11, legacy);
-    // Default legacy width: max(1024, 2^11 / 16) = 1024.
-    EXPECT_EQ(lg.stats.widthUsed, 1024u);
-    EXPECT_GE(lg.commBytes, exact.commBytes);
+    const std::uint64_t exhaustive =
+        (std::uint64_t{1} << 24) * (model.numLayers() - 1);
+    EXPECT_LT(pruned.transitionsEvaluated, exhaustive);
 }
 
 TEST(OptimalPartitioner, CostEqualsPlanReplay)
@@ -294,25 +212,6 @@ TEST(OptimalPartitioner, SearchStatsAreDeterministicAndConsistent)
     EXPECT_EQ(dense.stats.pruned, 0u);
     EXPECT_EQ(dense.stats.widthUsed, states);
 
-    o.engine = core::SearchEngine::kSparse;
-    const auto sparse = opt.partition(levels, o);
-    EXPECT_TRUE(sparse.stats.certifiedExact);
-    EXPECT_EQ(sparse.stats.expanded, nodes);
-    EXPECT_EQ(sparse.stats.widthUsed, states);
-    // The sparse engine's pruned count is its dominance-skipped
-    // transitions: it complements transitionsEvaluated to the dense
-    // engine's full 4^H * (L-1) bill (ROADMAP PR 4 follow-up).
-    EXPECT_EQ(sparse.stats.pruned + sparse.transitionsEvaluated,
-              states * states * (net.size() - 1));
-    EXPECT_GT(sparse.stats.pruned, 0u);
-    // Determinism: a second identical sparse search reports the same
-    // accounting, bit for bit.
-    const auto sparse_again = opt.partition(levels, o);
-    EXPECT_EQ(sparse_again.stats.pruned, sparse.stats.pruned);
-    EXPECT_EQ(sparse_again.stats.expanded, sparse.stats.expanded);
-    EXPECT_EQ(sparse_again.transitionsEvaluated,
-              sparse.transitionsEvaluated);
-
     o.engine = core::SearchEngine::kAStar;
     const auto astar = opt.partition(levels, o);
     EXPECT_TRUE(astar.stats.certifiedExact);
@@ -343,18 +242,23 @@ TEST(OptimalPartitioner, RejectsAbsurdDepth)
     // The dense engine (and its reference) keep the 4^H ceiling...
     core::SearchOptions dense;
     dense.engine = core::SearchEngine::kDense;
-    EXPECT_THROW((void)opt.partition(11, dense), util::FatalError);
+    try {
+        (void)opt.partition(11, dense);
+        ADD_FAILURE() << "dense H = 11 did not throw";
+    } catch (const util::FatalError &e) {
+        // The message points at the engines that do reach H = 11.
+        EXPECT_NE(std::string(e.what()).find(
+                      "use the astar or auto engine"),
+                  std::string::npos)
+            << e.what();
+    }
     EXPECT_THROW((void)opt.partitionReference(11), util::FatalError);
 
-    // ...and the wide engines stop at H = 16.
+    // ...and A* (kAuto's wide engine) stops at H = 16.
     EXPECT_THROW((void)opt.partition(17), util::FatalError);
-    for (auto engine : {core::SearchEngine::kSparse,
-                        core::SearchEngine::kBeam,
-                        core::SearchEngine::kAStar}) {
-        core::SearchOptions wide;
-        wide.engine = engine;
-        EXPECT_THROW((void)opt.partition(17, wide), util::FatalError);
-    }
+    core::SearchOptions astar;
+    astar.engine = core::SearchEngine::kAStar;
+    EXPECT_THROW((void)opt.partition(17, astar), util::FatalError);
 }
 
 TEST(OptimalPartitioner, SearchEngineNames)
@@ -363,12 +267,11 @@ TEST(OptimalPartitioner, SearchEngineNames)
               core::SearchEngine::kAuto);
     EXPECT_EQ(core::searchEngineFromName("dense"),
               core::SearchEngine::kDense);
-    EXPECT_EQ(core::searchEngineFromName("sparse"),
-              core::SearchEngine::kSparse);
-    EXPECT_EQ(core::searchEngineFromName("beam"),
-              core::SearchEngine::kBeam);
     EXPECT_EQ(core::searchEngineFromName("astar"),
               core::SearchEngine::kAStar);
-    EXPECT_THROW((void)core::searchEngineFromName("bogus"),
-                 util::FatalError);
+    // The retired engines are unknown names now, like any typo.
+    for (const char *name : {"sparse", "beam", "bogus"})
+        EXPECT_THROW((void)core::searchEngineFromName(name),
+                     util::FatalError)
+            << name;
 }

@@ -77,8 +77,8 @@ TEST(PerfSmoke, AStarSolvesH16OnVggEExactly)
     // The full H = 16 reach (65,536 accelerators) of the A* engine:
     // exact — certified — on the biggest zoo network, in single-digit
     // seconds on the 1-core reference container (~3.6 s with the
-    // pair-conditioned bound and SIMD scans; the sparse engine needs
-    // ~106 s for the same answer, the adaptive beam ~119 s).
+    // pair-conditioned bound and SIMD scans; the retired sparse engine
+    // needed ~106 s for the same answer, the adaptive beam ~119 s).
     // Skipped outside optimized builds: under -O0 or sanitizers the
     // same search runs an order of magnitude slower and would only
     // measure the build mode.

@@ -430,20 +430,18 @@ TEST(Canonical, PlanHashKeysStrategyAndSearchKnobs)
 
     EXPECT_NE(serve::planHash(net, cfg, "hypar", search), base);
 
-    core::SearchOptions beam = search;
-    beam.engine = core::SearchEngine::kBeam;
-    EXPECT_NE(serve::planHash(net, cfg, "optimal", beam), base);
+    core::SearchOptions astar = search;
+    astar.engine = core::SearchEngine::kAStar;
+    EXPECT_NE(serve::planHash(net, cfg, "optimal", astar), base);
 
-    core::SearchOptions width = search;
-    width.beamWidth = 32;
-    EXPECT_NE(serve::planHash(net, cfg, "optimal", width), base);
-
-    // width_hint is a pure warm start — results are bit-identical
-    // with or without it — so it must NOT fork the key: hinted
-    // requests share the unhinted request's on-disk entry.
-    core::SearchOptions hinted = search;
-    hinted.beamWidthStart = 8;
-    EXPECT_EQ(serve::planHash(net, cfg, "optimal", hinted), base);
+    // The retired beam knobs stay in the key text as constants, so
+    // every pre-existing default key is unchanged.
+    const std::string text =
+        serve::canonicalPlanRequest(net, cfg, "optimal", search);
+    EXPECT_NE(text.find("[plan]\nstrategy=optimal\nengine=auto\n"
+                        "beam_width=0\nadaptive_beam=1\n"),
+              std::string::npos)
+        << text;
 
     // The sweep key embeds the plan payload plus the swept level.
     EXPECT_NE(serve::sweepHash(net, cfg, "hypar", search, 1), base);
@@ -579,9 +577,7 @@ TEST(Canonical, KeyDerivedHashesMatchTheFullTextHashes)
         configs.push_back(faulted);
     }
     core::SearchOptions tuned;
-    tuned.engine = core::SearchEngine::kBeam;
-    tuned.beamWidth = 32;
-    tuned.adaptiveBeam = false;
+    tuned.engine = core::SearchEngine::kAStar;
     const std::vector<core::SearchOptions> searches = {
         core::SearchOptions{}, tuned};
 
@@ -1042,7 +1038,7 @@ TEST(Server, WarmCachePlanIsBitIdenticalToColdSearchAcrossEngines)
         R"("engine":"ENGINE"})";
 
     std::optional<PlanResponse> reference;
-    for (const std::string engine : {"dense", "sparse", "beam", "astar"}) {
+    for (const std::string engine : {"dense", "astar"}) {
         std::string line = request;
         line.replace(line.find("ENGINE"), 6, engine);
 
@@ -1095,40 +1091,6 @@ TEST(Server, MaxSessionsSizesTheWarmRegistry)
     runBatch(server, {req("VGG-A")});
     EXPECT_EQ(server.sessions().size(), 2u); // LRU evicted, not grown
     EXPECT_EQ(server.sessions().built(), 3u);
-}
-
-TEST(Server, WidthHintWarmStartsTheAdaptiveBeamBitIdentically)
-{
-    // Cold adaptive beam: width-doubling ramp until the drop
-    // certificate holds. Threading the measured plateau back as
-    // width_hint must skip the ramp (strictly fewer transitions, same
-    // final width) and return the bit-identical plan and cost.
-    serve::ServeOptions opts;
-    opts.noCache = true; // force a real search on every request
-    serve::Server server(opts);
-
-    const std::string cold_req =
-        R"({"op":"plan","model":"VGG-E","strategy":"optimal",)"
-        R"("engine":"beam","levels":8})";
-    const PlanResponse cold =
-        PlanResponse::parse(runBatch(server, {cold_req}).at(0));
-    EXPECT_TRUE(cold.certified);
-    EXPECT_GT(cold.widthUsed, 0u);
-
-    const std::string warm_req =
-        R"({"op":"plan","model":"VGG-E","strategy":"optimal",)"
-        R"("engine":"beam","levels":8,"width_hint":)" +
-        std::to_string(cold.widthUsed) + "}";
-    const PlanResponse warm =
-        PlanResponse::parse(runBatch(server, {warm_req}).at(0));
-    EXPECT_TRUE(warm.certified);
-    EXPECT_EQ(warm.planBits, cold.planBits);
-    EXPECT_EQ(warm.commBytes, cold.commBytes); // exact doubles
-    EXPECT_EQ(warm.widthUsed, cold.widthUsed);
-    // The hinted search starts at the plateau instead of ramping
-    // through every narrower pass, so it evaluates strictly fewer
-    // transitions whenever the cold ramp took more than one pass.
-    EXPECT_LE(warm.transitions, cold.transitions);
 }
 
 TEST(Server, CachedPlanEvaluatesIdenticallyAtEveryThreadCount)
@@ -1779,36 +1741,41 @@ TEST(Server, ErrorResponsesEchoTheOpWhenItParsed)
     EXPECT_EQ(serve::JsonValue::parse(responses[3]).find("op"), nullptr);
 }
 
-TEST(Server, WidthHintDoesNotForkTheOnDiskCacheEntry)
+TEST(Server, RetiredBeamFieldsAndEnginesAreRejectedInBand)
 {
-    // Satellite of the cache-key fix: a hinted and an unhinted plan
-    // request are the same search (bit-identical results), so they
-    // must share one on-disk entry — the hinted request *hits*.
-    TempDir tmp("serve_hint_key");
+    // beam_width and width_hint left the schema with the beam engine:
+    // they are unknown fields now, and the retired engine names are
+    // unknown engines. Each answers ok:false; the server carries on.
     serve::ServeOptions opts;
-    opts.cacheDir = tmp.path;
+    opts.noCache = true;
     serve::Server server(opts);
-
-    const std::string cold =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("engine":"beam"})";
-    const std::string hinted =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("engine":"beam","width_hint":8})";
-    const PlanResponse first =
-        PlanResponse::parse(runBatch(server, {cold}).at(0));
-    EXPECT_EQ(first.cacheOutcome, "miss");
-    const PlanResponse second =
-        PlanResponse::parse(runBatch(server, {hinted}).at(0));
-    EXPECT_EQ(second.cacheOutcome, "hit");
-    EXPECT_EQ(second.planBits, first.planBits);
-    EXPECT_EQ(second.commBytes, first.commBytes);
-    EXPECT_EQ(server.cache().stats().stores, 1u);
-
-    std::size_t entries = 0;
-    for (const auto &e : fs::directory_iterator(tmp.path))
-        entries += e.path().extension() == ".json" ? 1u : 0u;
-    EXPECT_EQ(entries, 1u);
+    const std::vector<std::string> responses = runBatch(
+        server,
+        {R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+         R"("beam_width":32})",
+         R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+         R"("width_hint":8})",
+         R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+         R"("engine":"beam"})",
+         R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+         R"("engine":"sparse"})",
+         R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+         R"("engine":"astar"})"});
+    ASSERT_EQ(responses.size(), 5u);
+    const char *expected[] = {"unknown request field 'beam_width'",
+                              "unknown request field 'width_hint'",
+                              "unknown search engine 'beam'",
+                              "unknown search engine 'sparse'"};
+    for (std::size_t i = 0; i < 4; ++i) {
+        const serve::JsonValue v = serve::JsonValue::parse(responses[i]);
+        EXPECT_FALSE(v.find("ok")->asBool()) << responses[i];
+        EXPECT_NE(v.find("error")->asString().find(expected[i]),
+                  std::string::npos)
+            << responses[i];
+    }
+    EXPECT_TRUE(serve::JsonValue::parse(responses[4]).find("ok")->asBool())
+        << responses[4];
+    EXPECT_EQ(server.stats().errors, 4u);
 }
 
 TEST(Server, RejectedRequestsNeverTouchTheSessionRegistry)
@@ -2009,7 +1976,8 @@ TEST(Canonical, ChainHashesArePinnedAcrossTheDagGeneralization)
     // pre-DAG build keeps hitting. If the first expectation fails,
     // kCanonicalVersion was effectively broken for every deployment.
     // The plan hash was re-pinned when width_hint left the key text
-    // (kPlanCacheVersion 2); it moves only with the cache version.
+    // (kPlanCacheVersion 2); it moves only with the cache version. The
+    // beam engine's retirement kept it: its knobs render as constants.
     const dnn::Network net = dnn::makeLenetC();
     const sim::SimConfig cfg;
     EXPECT_EQ(serve::contextHash(net, cfg),

@@ -6,7 +6,7 @@ Checked documents: README.md, docs/ARCHITECTURE.md, docs/SERVING.md,
 tools/README.md.
 Checked reference kinds:
 
-  * CLI flags (``--engine``, ``--beam-width``, ...) must appear in
+  * CLI flags (``--engine``, ``--no-cache``, ...) must appear in
     tools/hyparc_app.cc (its parser or usage string).
   * The reverse direction too: every flag hyparc's parser accepts
     (``arg == "--x"`` in parseArgs) must be advertised in the usage()
@@ -124,8 +124,8 @@ def main():
         re.findall(r'NetworkBuilder(?:\s+\w+)?\("([^"]+)"', zoo)
     )
     # Exact flag tokens hyparc parses or advertises, for exact
-    # membership (substring matching would let a stale '--beam' ride
-    # on '--beam-width').
+    # membership (substring matching would let a stale
+    # '--max-session' ride on '--max-session-bytes').
     known_flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", app))
 
     # The flags the parser actually accepts, and the usage() string, for

@@ -75,7 +75,6 @@ makeStrategyPlan(const Options &opts, const core::CommModel &model,
     if (opts.strategy == "optimal") {
         core::SearchOptions search;
         search.engine = core::searchEngineFromName(opts.engine);
-        search.beamWidth = opts.beamWidth;
         auto result =
             core::OptimalPartitioner(model).partition(opts.levels, search);
         if (search_out != nullptr)
@@ -685,7 +684,6 @@ cmdFaults(const Options &opts, std::ostream &os)
     ropts.samples = opts.samples;
     ropts.seed = opts.seed;
     ropts.search.engine = core::searchEngineFromName(opts.engine);
-    ropts.search.beamWidth = opts.beamWidth;
     const sim::RobustResult result = sim::robustPlan(net, cfg, ropts);
 
     os << net.name() << ": robust plan over " << opts.samples
@@ -729,15 +727,12 @@ usage()
            "  --model <zoo name> | --spec <file>\n"
            "  [--levels N] [--batch B] [--topology htree|torus|mesh]\n"
            "  [--strategy hypar|dp|mp|owt|optimal] [-o|--output <file>]\n"
-           "  [--engine auto|dense|sparse|beam|astar] [--beam-width N]\n"
-           "    (strategy=optimal: joint-DP engine; dense is exact to\n"
-           "     H=10, sparse/beam/astar reach H=16; beam-width 0 =\n"
-           "     adaptive, growing until the result certifies exact)\n"
+           "  [--engine auto|dense|astar]\n"
+           "    (strategy=optimal: exact joint-DP engine; dense reaches\n"
+           "     H=10, astar H=16; auto picks dense, then astar)\n"
            "  [--verbose]  (plan: search diagnostics for --strategy\n"
            "     optimal: transitions evaluated, expanded/pruned\n"
-           "     counts (nodes; dominance-skipped transitions for the\n"
-           "     sparse engine), frontier width, optimality\n"
-           "     certificate)\n"
+           "     counts, frontier width, optimality certificate)\n"
            "  [--overlap]  (simulate/sweep/trace: overlap gradient\n"
            "     reductions with remaining compute — the async\n"
            "     all-reduce schedule; swept incrementally via the\n"
@@ -812,8 +807,6 @@ parseArgs(const std::vector<std::string> &args)
             opts.strategy = value(i);
         } else if (arg == "--engine") {
             opts.engine = value(i);
-        } else if (arg == "--beam-width") {
-            opts.beamWidth = std::stoul(value(i));
         } else if (arg == "--axes") {
             opts.axes = value(i);
         } else if (arg == "--format") {

@@ -36,7 +36,7 @@ struct Options
     std::string output;       //!< -o target (trace, sweep, faults)
     std::string topology = "htree"; //!< htree | torus | mesh
     std::string strategy = "hypar"; //!< hypar | dp | mp | owt | optimal
-    std::string engine = "auto"; //!< auto | dense | sparse | beam | astar
+    std::string engine = "auto"; //!< auto | dense | astar
     std::string axes;         //!< sweep axes: "H1,H4" or "conv5_2,fc1"
     std::string format = "csv";     //!< sweep/faults output: csv | json
     std::string map;          //!< faults: fault-map file (--map)
@@ -44,7 +44,6 @@ struct Options
     std::string sample = "uniform"; //!< sweep --limit: uniform | biased
     std::string cacheDir; //!< serve: plan cache dir (default: see
                           //!< serve::PlanCache::defaultDir)
-    std::size_t beamWidth = 0;      //!< 0 = engine default
     std::size_t levels = 4;
     std::size_t batch = 256;
     std::size_t limit = 0;    //!< sweep: sample at most N grid points

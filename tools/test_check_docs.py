@@ -108,13 +108,13 @@ class CheckDocsGate(unittest.TestCase):
         self.assertIn("not documented", res.stderr)
 
     def test_removing_a_schema_row_from_serving_md_fails(self):
-        # The server still parses beam_width; the contract stops
+        # The server still parses overlap; the contract stops
         # documenting it.
         edit(self.root / "docs" / "SERVING.md",
-             r"^\|\s*`beam_width`[^\n]*\n", "", count=1)
+             r"^\|\s*`overlap`[^\n]*\n", "", count=1)
         res = run_check(self.root)
         self.assertNotEqual(res.returncode, 0)
-        self.assertIn("beam_width", res.stderr)
+        self.assertIn("overlap", res.stderr)
         self.assertIn("missing from the schema table", res.stderr)
 
     def test_removing_a_parsed_field_from_the_server_fails(self):
