@@ -77,7 +77,11 @@ CommReport::toString() const
     os << "\n";
     util::Table by_level({"level", "intra", "inter", "total"});
     for (const auto &lv : levels) {
-        by_level.addRow({"H" + std::to_string(lv.level + 1),
+        // Appended rather than "H" + to_string(): GCC 12 reports a
+        // false -Wrestrict overlap inside operator+(string&&, string&&).
+        std::string name = "H";
+        name += std::to_string(lv.level + 1);
+        by_level.addRow({name,
                          util::formatBytes(lv.intraBytes),
                          util::formatBytes(lv.interBytes),
                          util::formatBytes(lv.totalBytes())});

@@ -4,8 +4,9 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <numeric>
 
 #include "core/series_parallel.hh"
@@ -211,6 +212,38 @@ buildInterTables(const CommModel &model, std::size_t levels)
 }
 
 /**
+ * popcount(p) for every state, as the u8 side table the expandLevel
+ * kernel indexes (a = h - pcnt[p]); built once per engine pass.
+ */
+std::vector<std::uint8_t>
+buildPcnt(std::uint32_t states)
+{
+    std::vector<std::uint8_t> pcnt(states);
+    for (std::uint32_t p = 0; p < states; ++p)
+        pcnt[p] = static_cast<std::uint8_t>(std::popcount(p));
+    return pcnt;
+}
+
+/**
+ * t[s] = sum_h rows[(h * 2 + s_h) * (levels + 1) + dpAbove(s, h)] for
+ * all 2^levels states, by one expandLevel pass per level from
+ * t[0] = 0.0. The additions run level-ascending from 0.0,
+ * so every entry is bit-identical to the per-state loop
+ * `t = 0.0; for h: t += row_{s_h}[dpAbove(s, h)]`.
+ */
+void
+expandStates(const simd::Kernels &kern, double *t, const double *rows,
+             const std::uint8_t *pcnt, std::size_t levels)
+{
+    const std::size_t cols = 2 * (levels + 1);
+    t[0] = 0.0;
+    for (std::size_t h = 0; h < levels; ++h)
+        kern.expandLevel(t, std::size_t{1} << h, &rows[h * cols],
+                         &rows[h * cols + levels + 1], pcnt,
+                         static_cast<unsigned>(h));
+}
+
+/**
  * The admissible suffix bound h[l * 2^levels + s] of
  * optimal_partitioner.hh: a real-arithmetic lower bound on everything
  * the DP adds after layer l's intra term when layer l sits in state s
@@ -223,11 +256,12 @@ buildInterTables(const CommModel &model, std::size_t levels)
  * with lbOut/m/M and the per-level chain term C as documented in the
  * header. Monotone (consistent)
  * by construction: both arguments of the max bound the one-step
- * expansion trans + intra' + h' from below. O(L * (2^H * H + H^3))
- * on the pool; the per-state sums run level-ascending like every
- * real transition sum, so addend-wise domination survives the float
- * arithmetic (the cross-layer re-association is what kBoundSlack
- * absorbs at comparison time).
+ * expansion trans + intra' + h' from below. The three per-state level
+ * sums (lbIn, lbOut, C) are each one level-bit expansion over 2^H
+ * states, so the whole bound is O(L * (2^H + H^3)), serial; the sums
+ * run level-ascending like every real transition sum, so addend-wise
+ * domination survives the float arithmetic (the cross-layer
+ * re-association is what kBoundSlack absorbs at comparison time).
  */
 std::vector<double>
 suffixBound(const CommModel &model, std::size_t levels,
@@ -236,8 +270,6 @@ suffixBound(const CommModel &model, std::size_t levels,
 {
     const std::size_t states = std::size_t{1} << levels;
     std::vector<double> bound(num_layers * states, 0.0);
-    auto &pool = util::ThreadPool::global();
-    const std::size_t grain = pool.grainFor(states);
     const std::size_t cols = 2 * (levels + 1);
     constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -300,13 +332,23 @@ suffixBound(const CommModel &model, std::size_t levels,
         }
     }
 
+    const simd::Kernels &kern = simd::activeKernels();
+    const std::vector<std::uint8_t> pcnt =
+        buildPcnt(static_cast<std::uint32_t>(states));
     // outmin[h * cols + col]: cheapest admissible target-side entry
     // (s'_h in {0,1}, dpAbove(s',h) <= h) of level h at the source's
-    // fixed column `col` — the per-level ingredient of lbOut.
+    // fixed column `col` — the per-level ingredient of lbOut. It and
+    // the chain rows share targetRowMins' [h][bit][dpAbove] layout, so
+    // all three per-state sums expand from the same row geometry.
     std::vector<double> outmin(levels * cols);
+    std::vector<double> chain_rows(levels * cols);
+    std::vector<double> lbin(states);
+    std::vector<double> lbout(states);
+    std::vector<double> per_level(states);
 
     for (std::size_t l = num_layers - 1; l-- > 0;) {
         const InterTermTable &iterm = inter[l];
+        const double *chain_l = &chain[l * levels * 2];
         for (std::size_t h = 0; h < levels; ++h) {
             for (std::size_t col = 0; col < cols; ++col) {
                 double m = kInf;
@@ -314,58 +356,36 @@ suffixBound(const CommModel &model, std::size_t levels,
                     for (unsigned b = 0; b <= h; ++b)
                         m = std::min(m, iterm.rowAt(h, sb, b)[col]);
                 outmin[h * cols + col] = m;
+                // The chain term depends on s_h alone: constant rows.
+                chain_rows[h * cols + col] =
+                    chain_l[h * 2 + (col > levels ? 1 : 0)];
             }
         }
         // Per-target row minima: the lbIn ingredient of the M term.
         const std::vector<double> inmin = targetRowMins(iterm, levels);
+        expandStates(kern, lbin.data(), inmin.data(), pcnt.data(),
+                     levels);
+        expandStates(kern, lbout.data(), outmin.data(), pcnt.data(),
+                     levels);
+        expandStates(kern, per_level.data(), chain_rows.data(),
+                     pcnt.data(), levels);
 
+        // m = min_s'(intra' + h'); M = min_s'(lbIn(s') + intra' + h').
+        // Scalar float mins are order-independent.
         const double *intra_next = &intra[(l + 1) * states];
         const double *bound_next = &bound[(l + 1) * states];
-        // m = min_s'(intra' + h'); M = min_s'(lbIn(s') + intra' + h').
-        // Scalar float mins are order-independent, so the chunked
-        // reduction is deterministic for every thread count.
-        const auto mins = pool.parallelReduce(
-            0, states, grain, std::pair<double, double>{kInf, kInf},
-            [&](std::size_t begin, std::size_t end) {
-                std::pair<double, double> acc{kInf, kInf};
-                for (std::size_t s = begin; s < end; ++s) {
-                    const auto sv = static_cast<std::uint32_t>(s);
-                    const double rest = intra_next[s] + bound_next[s];
-                    acc.first = std::min(acc.first, rest);
-                    double lbin = 0.0;
-                    for (std::size_t h = 0; h < levels; ++h)
-                        lbin += inmin[(h * 2 + ((sv >> h) & 1u)) *
-                                          (levels + 1) +
-                                      dpAbove(sv, h)];
-                    acc.second = std::min(acc.second, lbin + rest);
-                }
-                return acc;
-            },
-            [](std::pair<double, double> a, std::pair<double, double> b) {
-                return std::pair<double, double>{
-                    std::min(a.first, b.first),
-                    std::min(a.second, b.second)};
-            });
+        double m = kInf;
+        double big_m = kInf;
+        for (std::size_t s = 0; s < states; ++s) {
+            const double rest = intra_next[s] + bound_next[s];
+            m = std::min(m, rest);
+            big_m = std::min(big_m, lbin[s] + rest);
+        }
 
         double *bound_l = &bound[l * states];
-        const double *chain_l = &chain[l * levels * 2];
-        pool.parallelFor(
-            0, states, grain, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t s = begin; s < end; ++s) {
-                    const auto sv = static_cast<std::uint32_t>(s);
-                    double lbout = 0.0;
-                    double per_level = 0.0;
-                    for (std::size_t h = 0; h < levels; ++h) {
-                        const unsigned bit = (sv >> h) & 1u;
-                        lbout += outmin[h * cols + bit * (levels + 1) +
-                                        dpAbove(sv, h)];
-                        per_level += chain_l[h * 2 + bit];
-                    }
-                    bound_l[s] = std::max(
-                        std::max(lbout + mins.first, mins.second),
-                        per_level);
-                }
-            });
+        for (std::size_t s = 0; s < states; ++s)
+            bound_l[s] =
+                std::max(std::max(lbout[s] + m, big_m), per_level[s]);
     }
     return bound;
 }
@@ -383,19 +403,6 @@ struct WideTables
     std::vector<InterTermTable> inter; //!< one per l -> l+1
     std::vector<double> suffix;        //!< admissible bound h[l][s]
 };
-
-/**
- * popcount(p) for every state, as the u8 side table the expandLevel
- * kernel indexes (a = h - pcnt[p]); built once per engine pass.
- */
-std::vector<std::uint8_t>
-buildPcnt(std::uint32_t states)
-{
-    std::vector<std::uint8_t> pcnt(states);
-    for (std::uint32_t p = 0; p < states; ++p)
-        pcnt[p] = static_cast<std::uint8_t>(std::popcount(p));
-    return pcnt;
-}
 
 /**
  * One fixed-width beam pass: A*'s incumbent. Keeps the `beam_width`
@@ -419,6 +426,27 @@ beamPass(std::size_t levels, std::size_t num_layers,
     std::vector<std::uint32_t> frontier;
     std::vector<double> fscore(states);
     std::uint64_t total_evaluated = 0;
+
+    // Parallelize over frontier chunks: each chunk relaxes every target
+    // state into its own (best, prev) rows, merged below. An argmin
+    // under the strict total order of better() is independent of how
+    // candidates are grouped, so the merge is bit-identical for every
+    // chunk grid and thread count. The frontier holds
+    // min(beam_width, states) states at every layer, so the grid — and
+    // the per-chunk rows, allocated once here and refilled by their
+    // own chunk each layer — is fixed for the whole pass.
+    const std::size_t fsize = std::min<std::size_t>(beam_width, states);
+    const std::size_t fgrain =
+        std::max<std::size_t>(1, fsize / (2 * pool.parallelism()));
+    const std::size_t chunks = (fsize + fgrain - 1) / fgrain;
+    const std::size_t rows = chunks * std::size_t{states};
+    const auto chunk_best = std::make_unique_for_overwrite<double[]>(rows);
+    const auto chunk_prev =
+        std::make_unique_for_overwrite<std::uint32_t[]>(rows);
+    // trans rows, one per chunk: interCost(l-1, p, s) for the chunk's
+    // current predecessor p over all 2^H targets.
+    const auto chunk_trans =
+        std::make_unique_for_overwrite<double[]>(rows);
 
     // The beam: the `beam_width` best states under (f, index) with
     // f = cost-so-far + suffix bound — ranked by provable completable
@@ -451,36 +479,25 @@ beamPass(std::size_t levels, std::size_t num_layers,
         std::uint32_t *parent_l = &parent[l * states];
 
         pruneFrontier(l - 1);
-        const std::size_t fsize = frontier.size();
+        HYPAR_ASSERT(frontier.size() == fsize,
+                     "beam frontier width changed between layers");
         total_evaluated += static_cast<std::uint64_t>(fsize) * states;
-
-        // Parallelize over frontier chunks: each chunk relaxes every
-        // target state into its own (best, prev) arrays, merged below.
-        // An argmin under the strict total order of better() is
-        // independent of how candidates are grouped, so the merge is
-        // bit-identical for every chunk grid and thread count.
-        const std::size_t fgrain = std::max<std::size_t>(
-            1, fsize / (2 * pool.parallelism()));
-        const std::size_t chunks = (fsize + fgrain - 1) / fgrain;
-        std::vector<std::vector<double>> chunk_best(
-            chunks,
-            std::vector<double>(
-                states, std::numeric_limits<double>::infinity()));
-        std::vector<std::vector<std::uint32_t>> chunk_prev(
-            chunks, std::vector<std::uint32_t>(states, 0));
 
         pool.parallelFor(0, fsize, fgrain, [&](std::size_t f_begin,
                                                std::size_t f_end) {
             const std::size_t ci = f_begin / fgrain;
-            std::vector<double> &best = chunk_best[ci];
-            std::vector<std::uint32_t> &prev = chunk_prev[ci];
+            double *best = &chunk_best[ci * states];
+            std::uint32_t *prev = &chunk_prev[ci * states];
+            std::fill_n(best, states,
+                        std::numeric_limits<double>::infinity());
+            std::fill_n(prev, states, 0u);
             // trans[s] = interCost(l-1, p, s) for the chunk's current
             // predecessor p, built for all 2^H target states at once by
             // expanding one level bit at a time — the mirror image of
             // the dense engine's p-side expansion, with the additions
             // in the same level-ascending order, so every transition
             // sum is bit-identical to the dense DP's.
-            std::vector<double> trans(states);
+            double *trans = &chunk_trans[ci * states];
             // tp[(h * 2 + sb) * (levels + 1) + b]: the (h, sb, b) table
             // entry at p's fixed column, gathered up front so the
             // expansion reads contiguously.
@@ -498,22 +515,13 @@ beamPass(std::size_t levels, std::size_t num_layers,
                     }
                 }
 
-                trans[0] = 0.0;
-                for (std::size_t h = 0; h < levels; ++h) {
-                    const std::size_t half = std::size_t{1} << h;
-                    kern.expandLevel(
-                        trans.data(), half,
-                        &tp[(h * 2 + 0) * (levels + 1)],
-                        &tp[(h * 2 + 1) * (levels + 1)], pcnt.data(),
-                        static_cast<unsigned>(h));
-                }
+                expandStates(kern, trans, tp.data(), pcnt.data(), levels);
 
                 // relaxRow keeps the incumbent on exact ties, which
                 // equals better() here because the frontier is sorted:
                 // within a chunk p strictly ascends, so the incumbent
                 // is always the lower-index candidate.
-                kern.relaxRow(best.data(), prev.data(), trans.data(),
-                              cost[p], p, states);
+                kern.relaxRow(best, prev, trans, cost[p], p, states);
             }
         });
 
@@ -521,13 +529,14 @@ beamPass(std::size_t levels, std::size_t num_layers,
         pool.parallelFor(0, states, sgrain, [&](std::size_t s_begin,
                                                 std::size_t s_end) {
             for (std::size_t s = s_begin; s < s_end; ++s) {
-                double best = chunk_best[0][s];
-                std::uint32_t best_prev = chunk_prev[0][s];
+                double best = chunk_best[s];
+                std::uint32_t best_prev = chunk_prev[s];
                 for (std::size_t ci = 1; ci < chunks; ++ci) {
-                    if (better(chunk_best[ci][s], chunk_prev[ci][s],
-                               best, best_prev)) {
-                        best = chunk_best[ci][s];
-                        best_prev = chunk_prev[ci][s];
+                    const std::size_t k = ci * states + s;
+                    if (better(chunk_best[k], chunk_prev[k], best,
+                               best_prev)) {
+                        best = chunk_best[k];
+                        best_prev = chunk_prev[k];
                     }
                 }
                 next[s] = best + intra_l[s];
@@ -628,18 +637,35 @@ OptimalPartitioner::intraTable(std::size_t levels) const
 {
     const std::size_t num_layers = model_->numLayers();
     const std::size_t states = std::size_t{1} << levels;
-    // Flat per-layer intra tables: intra[l * states + s], each entry
-    // summed exactly as intraCost does (2^h pair weighting, level
-    // ascending) so every engine stays bit-identical to the reference.
+    const std::size_t cols = 2 * (levels + 1);
+    const simd::Kernels &kern = simd::activeKernels();
+    const std::vector<std::uint8_t> pcnt =
+        buildPcnt(static_cast<std::uint32_t>(states));
+    // Flat per-layer intra tables: intra[l * states + s], expanded one
+    // level bit at a time from the per-level rows
+    //
+    //   rows[(h * 2 + b) * (levels + 1) + a] =
+    //       levelWeight(h) * intraBytesAt(l, b, a, h - a),  a <= h
+    //
+    // (a = dpAbove(s, h), so h - a = mpAbove(s, h)). The expansion adds
+    // the same products level-ascending from 0.0 that intraCost sums,
+    // so every entry is bit-identical to the reference.
+    std::vector<double> rows(levels * cols);
     std::vector<double> intra(num_layers * states);
-    util::ThreadPool::global().parallelFor(
-        0, num_layers * states, states,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                intra[i] = intraCost(i / states,
-                                     static_cast<std::uint32_t>(i % states),
-                                     levels);
-        });
+    for (std::size_t l = 0; l < num_layers; ++l) {
+        for (std::size_t h = 0; h < levels; ++h) {
+            const double weight = model_->levelWeight(h);
+            for (unsigned b = 0; b < 2; ++b)
+                for (unsigned a = 0; a <= h; ++a)
+                    rows[h * cols + b * (levels + 1) + a] =
+                        weight *
+                        model_->intraBytesAt(
+                            l, b ? Parallelism::kModel : Parallelism::kData,
+                            a, static_cast<unsigned>(h) - a);
+        }
+        expandStates(kern, &intra[l * states], rows.data(), pcnt.data(),
+                     levels);
+    }
     return intra;
 }
 
@@ -874,32 +900,42 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
     std::vector<std::uint8_t> dead(states, 0);
     std::vector<std::uint32_t> alive;
     // Class-conditioned predecessor keys: a target class is the
-    // triple (top two level bits, popcount) — keyC[cls * states + p]
+    // triple (top two level bits, popcount) — keyC[cls * na + i]
     // = cost[p] + (a lower bound on trans(p, s) valid for every
-    // target s in the class), plus one predecessor ordering per
-    // class. Conditioning on the two top bits on top of the popcount
-    // pins the two heaviest addends (weights 2^(H-1) + 2^(H-2), ~75%
-    // of the total level weight) to their exact values in the bound.
+    // target s in the class) for the i-th live predecessor p, plus
+    // one predecessor ordering per class. Conditioning on the two top
+    // bits on top of the popcount pins the two heaviest addends
+    // (weights 2^(H-1) + 2^(H-2), ~75% of the total level weight) to
+    // their exact values in the bound.
     const std::size_t nclass = 4 * (levels + 1);
     const auto classOf = [&](std::uint32_t sv) {
         const std::uint32_t tt = (sv >> (levels - 2)) & 3u;
         return tt * (levels + 1) +
                static_cast<std::size_t>(std::popcount(sv));
     };
-    std::vector<double> keyC(nclass * states);
-    std::vector<double> min_keyC(nclass);
-    std::vector<std::size_t> navailC(nclass);
     // Scan-order packing of each class's sorted candidates: key, g,
     // state id, and pair-screen codes laid out contiguously in the
     // order the scan walks them. The hot loop then streams sequential
     // cache lines instead of gathering cost/key/column data from
     // state-indexed tables — the gathers, not the arithmetic, were
     // the measured bottleneck of the predecessor scan.
-    std::vector<double> ordKey(nclass * std::size_t{states});
-    std::vector<double> ordCost(nclass * std::size_t{states});
-    std::vector<std::uint32_t> ordP(nclass * std::size_t{states});
-    std::vector<std::uint16_t> ordC2(nclass * std::size_t{states} *
-                                     c2stride);
+    //
+    // The five scan buffers are sized for the widest possible layer
+    // (na = 2^H live states) once per search and never value-
+    // initialized: every entry a layer reads was written earlier in
+    // that layer (keyC for every consistent class and live rank,
+    // the ord* prefixes up to navailC), so no memset runs and only
+    // the pages a search actually touches become resident.
+    const std::size_t slots = nclass * std::size_t{states};
+    const auto keyC = std::make_unique_for_overwrite<double[]>(slots);
+    const auto ordKey = std::make_unique_for_overwrite<double[]>(slots);
+    const auto ordCost = std::make_unique_for_overwrite<double[]>(slots);
+    const auto ordP =
+        std::make_unique_for_overwrite<std::uint32_t[]>(slots);
+    const auto ordC2 =
+        std::make_unique_for_overwrite<std::uint16_t[]>(slots * c2stride);
+    std::vector<double> min_keyC(nclass);
+    std::vector<std::size_t> navailC(nclass);
     std::vector<std::uint64_t> evaluated(chunks);
     std::uint64_t total_evaluated = incumbent.transitionsEvaluated;
     std::uint64_t expanded = 0;
@@ -917,24 +953,29 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
     pruned += states - alive.size();
     width_used = std::max(width_used, alive.size());
 
+    // sAdd[(h * cols + col) * cols + sb * (H+1) + c]: the *exact*
+    // level-h addend rowAt(h, sb, h - c)[col] of a transition whose
+    // target picks sb at level h with exactly c mp bits below it, seen
+    // from source column `col`. Slots with c > h stay +inf
+    // (unreachable); every layer rewrites the same reachable slots, so
+    // the +inf fill happens once per search. Indexing the factored
+    // table by the target's exact dpAbove count — instead of
+    // min-relaxing it away as the old per-column minima did — is what
+    // conditions the class key DP below on *both* endpoint popcounts.
+    const std::size_t cols = 2 * (levels + 1);
+    std::vector<double> sAdd(levels * cols * cols,
+                             std::numeric_limits<double>::infinity());
+    // Per-class minimum of intra + suffix over the layer's targets, and
+    // the key threshold derived from it (see the sort below).
+    std::vector<double> minRest(nclass);
+    std::vector<double> thrC(nclass);
+
     for (std::size_t l = 1; l < num_layers; ++l) {
         const InterTermTable &iterm = tables.inter[l - 1];
         const double *intra_l = &intra[l * states];
         const double *suffix_l = &tables.suffix[l * states];
         std::uint32_t *parent_l = &parent[l * states];
 
-        // sAdd[(h * cols + col) * cols + sb * (H+1) + c]: the *exact*
-        // level-h addend rowAt(h, sb, h - c)[col] of a transition whose
-        // target picks sb at level h with exactly c mp bits below it,
-        // seen from source column `col`. Slots with c > h stay +inf
-        // (unreachable). Indexing the factored table by the target's
-        // exact dpAbove count — instead of min-relaxing it away as the
-        // old per-column minima did — is what conditions the class key
-        // DP below on *both* endpoint popcounts.
-        const std::size_t cols = 2 * (levels + 1);
-        std::vector<double> sAdd(
-            levels * cols * cols,
-            std::numeric_limits<double>::infinity());
         for (std::size_t h = 0; h < levels; ++h)
             for (unsigned sb = 0; sb < 2; ++sb)
                 for (unsigned b = 0; b <= h; ++b) {
@@ -1005,11 +1046,11 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                     const std::size_t t15 = tt >> 1;
                     const double *sb = t14 ? sb1 : sb0;
                     const double *sa = t15 ? sa1 : sa0;
-                    double *key = &keyC[tt * (levels + 1) * states];
+                    double *key = &keyC[tt * (levels + 1) * na];
                     for (std::size_t cs = t14 + t15;
                          cs + 2 <= levels + t14 + t15; ++cs) {
                         const std::size_t cl = cs - t14 - t15;
-                        key[cs * states + p] =
+                        key[cs * na + i] =
                             cost_p +
                             ((f[cl] + sb[cl]) + sa[cl + t14]);
                     }
@@ -1025,13 +1066,12 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
         // excluded key provably fails the scan predicate for every
         // node; over-inclusion near the cut only lengthens the sorted
         // prefix, never changes what the scan visits.
-        std::vector<double> minRest(
-            nclass, std::numeric_limits<double>::infinity());
+        std::fill(minRest.begin(), minRest.end(),
+                  std::numeric_limits<double>::infinity());
         for (std::uint32_t s = 0; s < states; ++s) {
             double &m = minRest[classOf(s)];
             m = std::min(m, intra_l[s] + suffix_l[s]);
         }
-        std::vector<double> thrC(nclass);
         for (std::size_t c = 0; c < nclass; ++c)
             thrC[c] = std::isfinite(ub)
                           ? (ub - minRest[c]) + 1e-6 * std::abs(ub)
@@ -1053,13 +1093,13 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                         navailC[c] = 0;
                         continue;
                     }
-                    const double *keyc = &keyC[c * states];
+                    const double *keyc = &keyC[c * na];
                     const double thr = thrC[c];
                     double mk = std::numeric_limits<double>::infinity();
                     std::size_t m = 0;
                     for (std::size_t i = 0; i < na; ++i) {
                         const std::uint32_t p = alive[i];
-                        const double key = keyc[p];
+                        const double key = keyc[i];
                         mk = std::min(mk, key);
                         if (key <= thr)
                             tmp[m++] = {key, p};

@@ -228,6 +228,37 @@ TEST(FaultsDifferential, EnginesStayExactOnDegradedCostTables)
     }
 }
 
+TEST(FaultsDifferential, AStarMatchesTheOracleOnDegradedTablesPastTheCeiling)
+{
+    // Past the dense ceiling A*'s intra table and suffix bound are
+    // built by level-bit expansion over weighted rows. Under
+    // non-power-of-two penalties the weight multiply rounds, so an
+    // expansion that reordered a multiply or an add would drift from
+    // the per-state level-ascending sums. The sparse oracle rebuilds
+    // its tables independently, so A* must match it bit for bit.
+    std::mt19937 rng(1123);
+    for (const char *name : {"Lenet-c", "AlexNet", "VGG-A"}) {
+        const dnn::Network net = dnn::modelByName(name);
+        for (const std::size_t h : {11u, 12u}) {
+            CommConfig cfg;
+            cfg.levelPenalties = randomPenalties(h, rng);
+            for (const double p : cfg.levelPenalties) {
+                int exponent = 0;
+                ASSERT_NE(std::frexp(p, &exponent), 0.5)
+                    << "penalty " << p << " is a power of two";
+            }
+            const CommModel model(net, cfg);
+            core::SearchOptions astar;
+            astar.engine = core::SearchEngine::kAStar;
+            const auto as =
+                core::OptimalPartitioner(model).partition(h, astar);
+            const auto sp = tests::sparseOracle(model, h);
+            EXPECT_EQ(as.commBytes, sp.commBytes) << name << " H=" << h;
+            EXPECT_EQ(as.plan, sp.plan) << name << " H=" << h;
+        }
+    }
+}
+
 TEST(FaultsDifferential, SuffixBoundIsAdmissibleAndConsistent)
 {
     // The A* suffix bound h[l][s], checked directly rather than through

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/brute_force.hh"
 #include "core/comm_model.hh"
 #include "core/hierarchical_partitioner.hh"
@@ -228,6 +231,55 @@ TEST(OptimalPartitioner, SearchStatsAreDeterministicAndConsistent)
     // The greedy Algorithm 2 carries no certificate.
     const auto greedy = HierarchicalPartitioner(model).partition(levels);
     EXPECT_FALSE(greedy.stats.certifiedExact);
+}
+
+TEST(OptimalPartitioner, AStarSearchStatsArePinnedPastTheDenseCeiling)
+{
+    // The pristine default config's A* results at H = 12/13, pinned bit
+    // for bit: commBytes, transitions, expanded/pruned and width all
+    // feed the `search` object of plan responses and cache entries.
+    // The stats move with the suffix bound, the intra table and the
+    // incumbent pass, so a drift in any of them fails here even when
+    // the plan still holds.
+    struct Pin
+    {
+        const char *model;
+        std::size_t levels;
+        std::size_t batch;
+        std::uint64_t commBits;
+        std::uint64_t transitions;
+        std::uint64_t expanded;
+        std::uint64_t pruned;
+        std::size_t width;
+    };
+    const Pin pins[] = {
+        {"AlexNet", 12, 256, 0x4220e24dfe000000u, 2405382, 4621, 28147,
+         1507},
+        {"AlexNet", 13, 4096, 0x424688235f800000u, 4891188, 5532, 60004,
+         1716},
+        {"VGG-E", 12, 4096, 0x425e93bb12800000u, 4976252, 2261, 75563,
+         896},
+        {"VGG-E", 13, 256, 0x424f899c85000000u, 13708608, 21244, 134404,
+         3718},
+    };
+    for (const Pin &pin : pins) {
+        const dnn::Network net = dnn::modelByName(pin.model);
+        CommConfig cfg;
+        cfg.batch = pin.batch;
+        const CommModel model(net, cfg);
+        const auto res = OptimalPartitioner(model).partition(pin.levels);
+        const std::string where = std::string(pin.model) + " H=" +
+                                  std::to_string(pin.levels) + " B=" +
+                                  std::to_string(pin.batch);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(res.commBytes),
+                  pin.commBits)
+            << where;
+        EXPECT_EQ(res.transitionsEvaluated, pin.transitions) << where;
+        EXPECT_EQ(res.stats.expanded, pin.expanded) << where;
+        EXPECT_EQ(res.stats.pruned, pin.pruned) << where;
+        EXPECT_EQ(res.stats.widthUsed, pin.width) << where;
+        EXPECT_TRUE(res.stats.certifiedExact) << where;
+    }
 }
 
 TEST(OptimalPartitioner, RejectsAbsurdDepth)
