@@ -28,7 +28,8 @@ namespace hypar::core {
  * kept as live predecessors for the next layer. `pruned` counts the
  * work the engine eliminated: for A* on a chain it is nodes proven
  * useless by the bound `g + h > incumbent`; on a series-parallel DAG
- * it is the middle-state candidates A*'s early break never evaluated.
+ * it is the middle-state candidates the series merge's early break
+ * never evaluated (core/series_parallel.hh).
  * The dense and reference engines skip nothing, so their pruned count
  * is genuinely zero. `widthUsed` is the per-layer frontier the engine
  * actually worked with: the largest per-layer live set for A* on a
@@ -61,8 +62,9 @@ struct HierarchicalResult
     double commBytes = 0.0;
     /**
      * Transition relaxations the search evaluated — one candidate
-     * cost[p] + trans(p -> s) considered by a DP engine. 0 for searches
-     * that don't count (greedy Algorithm 2, the naive references).
+     * cost[p] + trans(p -> s) considered by a DP engine (4^H (L-1)
+     * when all are, as in the dense DP and the naive reference). 0 for
+     * searches that don't count (greedy Algorithm 2).
      * Deterministic for a given model and engine, so tests can assert
      * how much work A* actually skipped. A*'s count includes its
      * incumbent beam pass.

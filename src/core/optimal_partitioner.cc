@@ -587,18 +587,6 @@ assemblePlan(std::size_t levels, std::size_t num_layers,
 
 } // namespace
 
-SearchEngine
-searchEngineFromName(const std::string &name)
-{
-    if (name == "auto")
-        return SearchEngine::kAuto;
-    if (name == "dense")
-        return SearchEngine::kDense;
-    if (name == "astar")
-        return SearchEngine::kAStar;
-    util::fatal("unknown search engine '" + name + "' (auto|dense|astar)");
-}
-
 OptimalPartitioner::OptimalPartitioner(const CommModel &model)
     : model_(&model)
 {}
@@ -679,16 +667,16 @@ HierarchicalResult
 OptimalPartitioner::partition(std::size_t levels,
                               const SearchOptions &options) const
 {
+    // Non-chain networks route to the series-parallel decomposition
+    // search (core/series_parallel.hh), one exact scan whatever the
+    // engine. Chains never enter it, so every historical chain result
+    // is produced by the exact same code as before.
+    if (!model_->network().isChain())
+        return searchSeriesParallel(*model_, levels);
     SearchEngine engine = options.engine;
     if (engine == SearchEngine::kAuto)
         engine = levels <= kDenseMax ? SearchEngine::kDense
                                      : SearchEngine::kAStar;
-    // Non-chain networks route to the series-parallel decomposition
-    // search (core/series_parallel.hh); every engine stays exact there.
-    // Chains never enter it, so every historical chain result is
-    // produced by the exact same code as before.
-    if (!model_->network().isChain())
-        return searchSeriesParallel(*model_, levels, engine);
     switch (engine) {
     case SearchEngine::kDense:
         return partitionDense(levels);
@@ -1359,6 +1347,9 @@ OptimalPartitioner::partitionReference(std::size_t levels) const
         return result;
 
     const std::uint32_t states = 1u << levels;
+    // Every transition is evaluated: the dense engine's count.
+    result.transitionsEvaluated = static_cast<std::uint64_t>(states) *
+                                  states * (num_layers - 1);
 
     std::vector<double> cost(states);
     std::vector<std::vector<std::uint32_t>> parent(

@@ -44,6 +44,9 @@
  *    behaviour for every depth that was previously reachable), A*
  *    beyond: exact at every depth the library accepts.
  *
+ * The engines steer chains only: a series-parallel DAG runs one
+ * early-break scan whatever the engine (core/series_parallel.hh).
+ *
  * The per-search tables (the intra table both engines share, and A*'s
  * suffix bound) are serial level-bit expansions: 2^H adds per table
  * per layer. The search loops proper — the dense DP's targets, A*'s
@@ -114,7 +117,6 @@
 #define HYPAR_CORE_OPTIMAL_PARTITIONER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/comm_model.hh"
@@ -130,13 +132,11 @@ enum class SearchEngine {
     kAStar, //!< exact best-first DP under the suffix bound (H <= 16)
 };
 
-/** Parse "auto" | "dense" | "astar" (fatal otherwise). */
-SearchEngine searchEngineFromName(const std::string &name);
-
 /**
- * Tunables of the joint search. Every engine is exact; kAuto routes to
- * dense or A* (see hierarchical_partitioner.hh for the stats every
- * search returns).
+ * Tunables of the joint search. Every engine returns the same exact
+ * plan, so the choice moves only speed and SearchStats; front ends run
+ * kAuto, and tests and benches pick engines to pit them against each
+ * other.
  */
 struct SearchOptions
 {

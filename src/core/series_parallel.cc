@@ -93,7 +93,7 @@ struct RedEdge
  * Run the TTSP reduction. Returns the root node index on success; on
  * failure returns SIZE_MAX and, when `reason` is non-null, describes a
  * stuck vertex. Reduction order is deterministic (lowest-index edge /
- * vertex first), so every engine sees the same tree.
+ * vertex first), so every search sees the same tree.
  */
 std::size_t
 decompose(const dnn::Network &network, std::vector<SpNode> &nodes,
@@ -212,7 +212,6 @@ struct SolveContext
     std::size_t levels;
     std::size_t states;
     std::size_t num_layers;
-    bool early_break; // A* series merge
     const std::vector<double> *intra; // [l * states + s]
     std::uint64_t transitions = 0;
     std::uint64_t pruned = 0;
@@ -262,49 +261,52 @@ solve(const std::vector<SpNode> &nodes, std::size_t node_idx,
         mid_key[x] =
             spPackLayerState(ctx.levels, ctx.num_layers, node.mid, x);
 
-    // Per source state, the A-side part (A cost + middle intra) of
-    // every middle state, optionally sorted for the early-break scan.
-    std::vector<double> apart(S);
-    std::vector<std::size_t> order(S);
+    // Per source state, the A-side part (A cost + middle intra, and
+    // its key bits) of every middle state, scanned in ascending order
+    // so the scan can stop early.
+    struct Mid
+    {
+        double apart;
+        std::uint64_t key;
+        std::size_t x;
+    };
+    std::vector<Mid> mids(S);
+    std::uint64_t transitions = 0;
+    std::uint64_t pruned = 0;
     for (std::size_t a = 0; a < S; ++a) {
         for (std::size_t x = 0; x < S; ++x)
-            apart[x] = ta.cost[a * S + x] + mid_intra[x];
-        for (std::size_t x = 0; x < S; ++x)
-            order[x] = x;
-        if (ctx.early_break) {
-            std::sort(order.begin(), order.end(),
-                      [&](std::size_t lhs, std::size_t rhs) {
-                          if (apart[lhs] != apart[rhs])
-                              return apart[lhs] < apart[rhs];
-                          return lhs < rhs;
-                      });
-        }
+            mids[x] = {ta.cost[a * S + x] + mid_intra[x],
+                       ta.key[a * S + x] | mid_key[x], x};
+        std::sort(mids.begin(), mids.end(),
+                  [](const Mid &lhs, const Mid &rhs) {
+                      if (lhs.apart != rhs.apart)
+                          return lhs.apart < rhs.apart;
+                      return lhs.x < rhs.x;
+                  });
         for (std::size_t b = 0; b < S; ++b) {
             double best = std::numeric_limits<double>::infinity();
             std::uint64_t best_key = 0;
-            for (std::size_t i = 0; i < S; ++i) {
-                const std::size_t x = order[i];
-                if (ctx.early_break && apart[x] > best) {
-                    // The B-side addend is >= 0 and rounding is
-                    // monotone: fl(apart + b) >= apart > best, so no
-                    // remaining candidate can win or tie.
-                    ctx.pruned += S - i;
-                    break;
-                }
-                const double cand = apart[x] + tb.cost[x * S + b];
-                const std::uint64_t cand_key = ta.key[a * S + x] |
-                                               mid_key[x] |
-                                               tb.key[x * S + b];
-                ++ctx.transitions;
+            std::size_t i = 0;
+            // The B-side addend is >= 0 and rounding is monotone:
+            // once apart > best, fl(apart + b) >= apart > best, so no
+            // remaining candidate can win or tie.
+            for (; i < S && !(mids[i].apart > best); ++i) {
+                const Mid &m = mids[i];
+                const double cand = m.apart + tb.cost[m.x * S + b];
+                const std::uint64_t cand_key = m.key | tb.key[m.x * S + b];
                 if (better(cand, cand_key, best, best_key)) {
                     best = cand;
                     best_key = cand_key;
                 }
             }
+            transitions += i;
+            pruned += S - i;
             out.cost[a * S + b] = best;
             out.key[a * S + b] = best_key;
         }
     }
+    ctx.transitions += transitions;
+    ctx.pruned += pruned;
     return out;
 }
 
@@ -321,8 +323,7 @@ isSeriesParallel(const dnn::Network &network, std::string *reason)
 }
 
 HierarchicalResult
-searchSeriesParallel(const CommModel &model, std::size_t levels,
-                     SearchEngine engine)
+searchSeriesParallel(const CommModel &model, std::size_t levels)
 {
     const dnn::Network &network = model.network();
     const std::size_t num_layers = model.numLayers();
@@ -364,7 +365,6 @@ searchSeriesParallel(const CommModel &model, std::size_t levels,
     ctx.levels = levels;
     ctx.states = S;
     ctx.num_layers = num_layers;
-    ctx.early_break = engine == SearchEngine::kAStar;
     ctx.intra = &intra;
 
     const SpTable top = solve(nodes, root, ctx);

@@ -53,17 +53,19 @@
  * precision, the per-branch (cost, key) minima compose to the global
  * lexicographic minimum, and the DP total equals planBytes() of the
  * returned plan bit-for-bit. The randomized differential suite
- * (tests/test_dag_differential.cc) pins every engine against the
+ * (tests/test_dag_differential.cc) pins the search against the
  * flat enumeration oracle on both claims.
  *
- * Engine mapping on DAGs: dense (and auto, which resolves to dense at
- * the H <= 8 this search accepts) runs the full series merge; A*
- * scans middle states in ascending A-side order and stops once that
- * part alone exceeds the incumbent (admissible because the B-side
- * addend is non-negative and float rounding is monotone:
- * apart > best implies fl(apart + b) >= apart > best, so nothing
- * skipped could win or even tie). Both are exact and certify
- * (SearchStats::certifiedExact), with widthUsed = 2^H.
+ * One scan serves every SearchEngine on DAGs (the engine choice only
+ * steers chains): for each source state the series merge visits the
+ * middle states in ascending A-side order (A cost + middle intra, ties
+ * by state) and stops once that part alone exceeds the best candidate.
+ * The cut is admissible because the B-side addend is non-negative and
+ * float rounding is monotone: apart > best implies
+ * fl(apart + b) >= apart > best, so nothing skipped could win or even
+ * tie. The search is exact and certifies
+ * (SearchStats::certifiedExact), with widthUsed = 2^H; `pruned` counts
+ * the middle states each cut skipped.
  */
 
 #ifndef HYPAR_CORE_SERIES_PARALLEL_HH
@@ -79,7 +81,7 @@
 
 namespace hypar::core {
 
-/** Depth ceiling of the series-parallel engines: the S-node merge is
+/** Depth ceiling of the series-parallel search: the S-node merge is
  *  O(8^H) per interior layer, and 8 levels keep the packed key within
  *  64 bits for any network the oracle can check. */
 constexpr std::size_t kSpMaxLevels = 8;
@@ -130,12 +132,12 @@ bool isSeriesParallel(const dnn::Network &network,
 
 /**
  * Exact joint search over a series-parallel DAG (the non-chain branch
- * of OptimalPartitioner::partition). Fatal on non-TTSP networks,
- * levels > kSpMaxLevels, or levels * L > kSpMaxKeyBits.
+ * of OptimalPartitioner::partition, whatever its SearchEngine). Fatal
+ * on non-TTSP networks, levels > kSpMaxLevels, or
+ * levels * L > kSpMaxKeyBits.
  */
 HierarchicalResult searchSeriesParallel(const CommModel &model,
-                                        std::size_t levels,
-                                        SearchEngine engine);
+                                        std::size_t levels);
 
 } // namespace hypar::core
 

@@ -80,11 +80,10 @@ planSuffix(const std::string &strategy, const core::SearchOptions &search)
     std::string out = "[plan]\n";
     appendKV(out, "strategy", strategy);
     appendKV(out, "engine", searchEngineName(search.engine));
-    // The retired beam engine's knobs, frozen at their old defaults.
-    // Rendering them as constant text keeps every default request's
-    // key text, so the pinned golden digests and every on-disk cache
-    // entry stay valid without a kCanonicalVersion or
-    // kPlanCacheVersion bump.
+    // The server always renders `engine=auto`, and the retired beam
+    // engine's knobs are frozen at their old defaults. Keeping the
+    // lines keeps every default request's key text, so the pinned
+    // golden digests hold without a kCanonicalVersion bump.
     appendKV(out, "beam_width", "0");
     appendKV(out, "adaptive_beam", "1");
     return out;

@@ -31,7 +31,7 @@
  *  - planHash(network, config, strategy, search): contextHash's
  *    payload plus the strategy and core::SearchOptions. The on-disk
  *    plan cache keys on it, because the searched plan's SearchStats
- *    depend on the engine too.
+ *    depend on the engine too (the server always passes the default).
  *
  * sweepHash(network, config, strategy, search, level) extends the plan
  * payload with the swept hierarchy level; the on-disk sweep-result

@@ -94,10 +94,13 @@ namespace hypar::serve {
 /** On-disk format version; bump on any layout change. Version 2: the
  *  canonical plan-key text changed, so version-1 entries — keyed under
  *  the old text — quarantine instead of lingering as unreachable stale
- *  files. Entries keyed under a retired engine or beam knob are never
- *  read again (no request renders that text any more); they need no
- *  bump because every live key text is unchanged. */
-inline constexpr int kPlanCacheVersion = 2;
+ *  files. Version 3: the key text held, but the stored `search` stats
+ *  moved — DAG searches run one early-break scan, and H <= 2 searches
+ *  count their 4^H (L-1) transitions — so version-2 entries quarantine
+ *  as misses instead of answering with the old stats. Entries keyed
+ *  under a retired engine or beam knob are never read again (no
+ *  request renders that text any more). */
+inline constexpr int kPlanCacheVersion = 3;
 
 /** Format tag every plan entry must carry. */
 inline constexpr const char *kPlanCacheFormat = "hyparc-plan-cache";

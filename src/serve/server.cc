@@ -43,7 +43,6 @@ struct Request
     std::size_t batch = 256;
     std::string topology = "htree";
     std::string strategy = "hypar";
-    std::string engine = "auto";
     bool overlap = false;
     arch::FaultMap faults;
     std::vector<std::string> planBits;
@@ -137,8 +136,6 @@ parseRequest(const std::string &line, Request &req)
         req.topology = v->asString();
     if (const JsonValue *v = root.find("strategy"))
         req.strategy = v->asString();
-    if (const JsonValue *v = root.find("engine"))
-        req.engine = v->asString();
     if (const JsonValue *v = root.find("overlap"))
         req.overlap = v->asBool();
     if (const JsonValue *v = root.find("faults")) {
@@ -204,14 +201,6 @@ buildConfig(const Request &req)
     return cfg;
 }
 
-core::SearchOptions
-buildSearch(const Request &req)
-{
-    core::SearchOptions search;
-    search.engine = core::searchEngineFromName(req.engine);
-    return search;
-}
-
 void
 validateStrategyName(const std::string &strategy)
 {
@@ -235,8 +224,8 @@ buildStrategyPlan(const Request &req, const core::CommModel &model,
     if (req.strategy == "owt")
         return core::makeOneWeirdTrickPlan(model.network(), req.levels);
     if (req.strategy == "optimal") {
-        auto result = core::OptimalPartitioner(model).partition(
-            req.levels, buildSearch(req));
+        auto result =
+            core::OptimalPartitioner(model).partition(req.levels);
         if (search_out != nullptr)
             *search_out = result;
         return result.plan;
@@ -454,7 +443,6 @@ Server::processBatch(const std::vector<std::string> &lines,
             p.network = buildNetwork(p.req);
             p.config = buildConfig(p.req);
             validateStrategyName(p.req.strategy);
-            buildSearch(p.req); // rejects unknown engines
             sim::validateFaults(p.config);
             p.key.emplace(*p.network, p.config);
             if (p.req.op == "evaluate") {
@@ -477,14 +465,16 @@ Server::processBatch(const std::vector<std::string> &lines,
             // Whether a probe hit stands is decided in the serial fold.
             const auto t0 = Clock::now();
             if (p.req.op == "plan") {
-                p.hash = p.key->planHash(p.req.strategy, buildSearch(p.req));
+                p.hash = p.key->planHash(p.req.strategy,
+                                         core::SearchOptions{});
                 if (const auto hit = cache_.probe(p.hash)) {
                     responses[i] = planResponse(p, "hit", *hit);
                     p.probeHit = true;
                 }
             } else {
-                p.hash = p.key->sweepHash(p.req.strategy, buildSearch(p.req),
-                                          p.req.level);
+                p.hash =
+                    p.key->sweepHash(p.req.strategy, core::SearchOptions{},
+                                     p.req.level);
                 if (const auto hit = cache_.probeSweep(p.hash)) {
                     responses[i] = sweepResponse(p, "hit", *hit);
                     p.probeHit = true;

@@ -90,7 +90,6 @@ inline constexpr const char *kRequestFields[] = {
     "batch",     // mini-batch size (default 256)
     "topology",  // htree | torus | mesh (default htree)
     "strategy",  // hypar | dp | mp | owt | optimal (default hypar)
-    "engine",    // optimal: auto | dense | astar
     "overlap",   // overlap gradient reductions (default false)
     "faults",    // {"nodes": [[id, scale]...], "links": [[id, scale]...]}
     "plan",      // evaluate: explicit plan, one bit string per level

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "core/optimal_partitioner.hh"
 #include "util/logging.hh"
 
 namespace hypar::sim {
@@ -42,7 +43,7 @@ robustPlan(const dnn::Network &network, const SimConfig &config,
             plans.push_back(std::move(plan));
     };
     add_candidate(core::OptimalPartitioner(base.model())
-                      .partition(pristine.levels, options.search)
+                      .partition(pristine.levels)
                       .plan);
 
     // Every sampled degraded array gets its own evaluator; kept alive
@@ -54,7 +55,7 @@ robustPlan(const dnn::Network &network, const SimConfig &config,
         degraded.faults = map;
         auto ev = std::make_unique<Evaluator>(network, degraded);
         add_candidate(core::OptimalPartitioner(ev->model())
-                          .partition(pristine.levels, options.search)
+                          .partition(pristine.levels)
                           .plan);
         sample_evs.push_back(std::move(ev));
     }

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "arch/fault_map.hh"
-#include "core/optimal_partitioner.hh"
 #include "core/plan.hh"
 #include "sim/evaluator.hh"
 #include "util/thread_pool.hh"
@@ -47,9 +46,6 @@ struct RobustOptions
 
     /** Base seed; sample k uses arch::mixSeed(seed, k). */
     std::uint64_t seed = 0;
-
-    /** Search engine options for the per-sample exact re-planning. */
-    core::SearchOptions search;
 };
 
 /** One scored candidate plan. */

@@ -3,8 +3,9 @@
  * Differential net for the DAG generalization. Three invariants:
  *
  *  1. *Randomized DAG exactness*: on seed-deterministic series-parallel
- *     DAGs (tests/support/sp_dag_gen.hh) every search engine must
- *     agree bit for bit — plans AND costs, EXPECT_EQ on doubles — with
+ *     DAGs (tests/support/sp_dag_gen.hh) the joint search — one
+ *     series-parallel scan, whatever the engine — must agree bit for
+ *     bit — plans AND costs, EXPECT_EQ on doubles — with
  *     the flat enumeration oracle (bruteForceHierarchical), and the DP
  *     total must equal planBytes of the returned plan exactly. The
  *     generator keeps every coefficient dyadic precisely so this can be
@@ -17,9 +18,10 @@
  *     invisible on chains.
  *
  *  3. *Fixture end-to-end*: the ResNet-block / Inception-branch zoo
- *     fixtures solve exactly against the oracle and simulate through
- *     the topological task order; the DAG sweep fallback visits every
- *     mask in ascending order with per-mask-simulate metrics.
+ *     fixtures solve exactly against the oracle, with the scan's
+ *     search stats pinned, and simulate through the topological task
+ *     order; the DAG sweep fallback visits every mask in ascending
+ *     order with per-mask-simulate metrics.
  *
  * Registered in the CI sanitizer job by name (like
  * test_faults_differential), so every trial also runs under
@@ -52,6 +54,7 @@ using core::SearchOptions;
 
 namespace {
 
+/** The chain engines; a DAG runs the same scan under either. */
 constexpr SearchEngine kEngines[] = {SearchEngine::kDense,
                                      SearchEngine::kAStar};
 
@@ -105,11 +108,11 @@ TEST(DagDifferential, GeneratorMakesSeriesParallelNonChains)
     }
 }
 
-TEST(DagDifferential, RandomizedDagEnginesMatchOracleBitForBit)
+TEST(DagDifferential, RandomizedDagSearchMatchesOracleBitForBit)
 {
-    // The acceptance bar: >= 25 randomized series-parallel DAGs, every
-    // engine bit-identical to the flat enumeration oracle in
-    // both plan and cost.
+    // The acceptance bar: >= 25 randomized series-parallel DAGs, the
+    // search bit-identical to the flat enumeration oracle in both plan
+    // and cost.
     for (std::uint64_t seed = 0; seed < 30; ++seed) {
         const dnn::Network net = tests::makeRandomSpDag(seed);
         // Deeper hierarchy on the smaller nets; capped at 21 plan bits
@@ -121,19 +124,12 @@ TEST(DagDifferential, RandomizedDagEnginesMatchOracleBitForBit)
         const core::OptimalPartitioner partitioner(model);
 
         const auto oracle = core::bruteForceHierarchical(model, h);
-        for (const SearchEngine engine : kEngines) {
-            SearchOptions opts;
-            opts.engine = engine;
-            const auto got = partitioner.partition(h, opts);
-            EXPECT_EQ(got.plan, oracle.plan)
-                << "seed " << seed << " engine " << (int)engine;
-            EXPECT_EQ(got.commBytes, oracle.commBytes)
-                << "seed " << seed << " engine " << (int)engine;
-            EXPECT_EQ(got.commBytes, model.planBytes(got.plan))
-                << "seed " << seed << " engine " << (int)engine;
-            EXPECT_TRUE(got.stats.certifiedExact)
-                << "seed " << seed << " engine " << (int)engine;
-        }
+        const auto got = partitioner.partition(h);
+        EXPECT_EQ(got.plan, oracle.plan) << "seed " << seed;
+        EXPECT_EQ(got.commBytes, oracle.commBytes) << "seed " << seed;
+        EXPECT_EQ(got.commBytes, model.planBytes(got.plan))
+            << "seed " << seed;
+        EXPECT_TRUE(got.stats.certifiedExact) << "seed " << seed;
     }
 }
 
@@ -216,15 +212,51 @@ TEST(DagDifferential, ZooDagFixturesSolveExactly)
         const CommModel model(net, CommConfig{});
         const core::OptimalPartitioner partitioner(model);
         const auto oracle = core::bruteForceHierarchical(model, h);
-        for (const SearchEngine engine : kEngines) {
-            SearchOptions opts;
-            opts.engine = engine;
-            const auto got = partitioner.partition(h, opts);
-            EXPECT_EQ(got.plan, oracle.plan)
-                << name << " engine " << (int)engine;
-            EXPECT_EQ(got.commBytes, oracle.commBytes)
-                << name << " engine " << (int)engine;
-        }
+        const auto got = partitioner.partition(h);
+        EXPECT_EQ(got.plan, oracle.plan) << name;
+        EXPECT_EQ(got.commBytes, oracle.commBytes) << name;
+    }
+}
+
+TEST(DagDifferential, DagScanStatsArePinned)
+{
+    // The series merge's early break, pinned at the depth ceiling
+    // (batch 256, H = 8): these counts feed the `search` object of
+    // plan responses and cache entries, so a drift in the scan order
+    // or the cut fails here even when the plan still holds. Every
+    // engine runs this one scan on DAGs, so their stats agree.
+    struct Pin
+    {
+        const char *model;
+        std::uint64_t transitions;
+        std::uint64_t expanded;
+        std::uint64_t pruned;
+        std::size_t width;
+    };
+    const Pin pins[] = {
+        {"ResNet-block", 5613399, 589824, 44718249, 256},
+        {"Inception-branch", 7765090, 720896, 59343774, 256},
+    };
+    for (const Pin &pin : pins) {
+        const dnn::Network net = dnn::modelByName(pin.model);
+        CommConfig cfg;
+        cfg.batch = 256;
+        const CommModel model(net, cfg);
+        const core::OptimalPartitioner partitioner(model);
+        const auto got = partitioner.partition(8);
+        EXPECT_EQ(got.transitionsEvaluated, pin.transitions) << pin.model;
+        EXPECT_EQ(got.stats.expanded, pin.expanded) << pin.model;
+        EXPECT_EQ(got.stats.pruned, pin.pruned) << pin.model;
+        EXPECT_EQ(got.stats.widthUsed, pin.width) << pin.model;
+        EXPECT_TRUE(got.stats.certifiedExact) << pin.model;
+
+        SearchOptions astar;
+        astar.engine = SearchEngine::kAStar;
+        const auto same = partitioner.partition(8, astar);
+        EXPECT_EQ(same.plan, got.plan) << pin.model;
+        EXPECT_EQ(same.transitionsEvaluated, got.transitionsEvaluated)
+            << pin.model;
+        EXPECT_EQ(same.stats.pruned, got.stats.pruned) << pin.model;
     }
 }
 

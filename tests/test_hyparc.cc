@@ -49,50 +49,26 @@ TEST(HyparcArgs, ParsesFlags)
     EXPECT_EQ(opts.strategy, "owt");
 }
 
-TEST(HyparcArgs, ParsesSearchEngineFlags)
+TEST(HyparcCommands, OptimalStrategyPicksItsOwnEngine)
 {
-    const auto opts = parseArgs({"plan", "--model", "Lenet-c",
-                                 "--strategy", "optimal", "--engine",
-                                 "astar"});
-    EXPECT_EQ(opts.strategy, "optimal");
-    EXPECT_EQ(opts.engine, "astar");
-    // Default: the auto engine.
-    const auto defaults = parseArgs({"plan", "--model", "Lenet-c"});
-    EXPECT_EQ(defaults.engine, "auto");
-}
-
-TEST(HyparcCommands, OptimalStrategyHonorsEngines)
-{
-    // All engines agree on the optimal plan's total communication line.
-    const std::string dense = run({"plan", "--model", "Lenet-c",
-                                   "--strategy", "optimal", "--engine",
-                                   "dense"});
-    const std::string astar = run({"plan", "--model", "Lenet-c",
-                                   "--strategy", "optimal", "--engine",
-                                   "astar"});
-    EXPECT_EQ(dense, astar);
-    EXPECT_NE(dense.find("total communication"), std::string::npos);
-
-    // Past the dense ceiling only through astar (or auto).
-    std::ostringstream os;
-    EXPECT_THROW(runCommand(parseArgs({"plan", "--model", "Lenet-c",
-                                       "--levels", "12", "--strategy",
-                                       "optimal", "--engine", "dense"}),
-                            os),
-                 util::FatalError);
+    // The joint search picks its engine from H: dense below the
+    // ceiling, A* past it. No flag reaches either.
     const std::string wide = run({"plan", "--model", "Lenet-c",
                                   "--levels", "12", "--strategy",
                                   "optimal"});
     EXPECT_NE(wide.find("H12:"), std::string::npos);
 
-    // The retired engines are rejected like any unknown name.
-    for (const char *engine : {"bogus", "sparse", "beam"}) {
-        EXPECT_THROW(runCommand(parseArgs({"plan", "--model", "Lenet-c",
-                                           "--strategy", "optimal",
-                                           "--engine", engine}),
-                                os),
-                     util::FatalError)
-            << engine;
+    // --engine left the CLI: plan and faults reject it as unknown.
+    for (const char *cmd : {"plan", "faults"}) {
+        try {
+            (void)parseArgs({cmd, "--model", "Lenet-c", "--strategy",
+                             "optimal", "--engine", "astar"});
+            ADD_FAILURE() << cmd << " accepted --engine";
+        } catch (const util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown flag '--engine'"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -166,16 +142,16 @@ TEST(HyparcCommands, VerboseOptimalPrintsTransitions)
               std::string::npos)
         << verbose;
 
-    // The A* engine reports its own (pruned) accounting and always
-    // certifies.
+    // Past the dense ceiling A* reports its own (pruned) accounting
+    // and always certifies.
     const std::string astar = run({"plan", "--model", "Lenet-c",
-                                   "--strategy", "optimal", "--engine",
-                                   "astar", "--levels", "6",
-                                   "--verbose"});
+                                   "--strategy", "optimal", "--levels",
+                                   "12", "--verbose"});
     EXPECT_NE(astar.find("optimality: certified exact"),
               std::string::npos)
         << astar;
-    EXPECT_NE(astar.find("(engine astar)"), std::string::npos) << astar;
+    EXPECT_EQ(astar.find("pruned: 0,"), std::string::npos) << astar;
+    EXPECT_EQ(astar.find("(engine"), std::string::npos) << astar;
 
     const std::string quiet = run({"plan", "--model", "Lenet-c",
                                    "--strategy", "optimal"});

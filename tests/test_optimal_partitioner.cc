@@ -233,6 +233,29 @@ TEST(OptimalPartitioner, SearchStatsAreDeterministicAndConsistent)
     EXPECT_FALSE(greedy.stats.certifiedExact);
 }
 
+TEST(OptimalPartitioner, ShallowSearchesCountEveryTransition)
+{
+    // Below H = 3 both engines run the naive reference DP, which
+    // evaluates every one of the 4^H (L-1) transitions: VGG-A has
+    // L = 11, so H = 1/2 evaluate 40/160. The count feeds the
+    // `search` object of plan responses and cache entries.
+    const dnn::Network net = dnn::makeVggA();
+    const CommModel model(net, CommConfig{});
+    const OptimalPartitioner opt(model);
+    for (const auto engine :
+         {core::SearchEngine::kAuto, core::SearchEngine::kDense,
+          core::SearchEngine::kAStar}) {
+        core::SearchOptions o;
+        o.engine = engine;
+        EXPECT_EQ(opt.partition(1, o).transitionsEvaluated, 40u)
+            << static_cast<int>(engine);
+        EXPECT_EQ(opt.partition(2, o).transitionsEvaluated, 160u)
+            << static_cast<int>(engine);
+    }
+    EXPECT_EQ(opt.partitionReference(3).transitionsEvaluated,
+              opt.partition(3).transitionsEvaluated);
+}
+
 TEST(OptimalPartitioner, AStarSearchStatsArePinnedPastTheDenseCeiling)
 {
     // The pristine default config's A* results at H = 12/13, pinned bit
@@ -311,19 +334,4 @@ TEST(OptimalPartitioner, RejectsAbsurdDepth)
     core::SearchOptions astar;
     astar.engine = core::SearchEngine::kAStar;
     EXPECT_THROW((void)opt.partition(17, astar), util::FatalError);
-}
-
-TEST(OptimalPartitioner, SearchEngineNames)
-{
-    EXPECT_EQ(core::searchEngineFromName("auto"),
-              core::SearchEngine::kAuto);
-    EXPECT_EQ(core::searchEngineFromName("dense"),
-              core::SearchEngine::kDense);
-    EXPECT_EQ(core::searchEngineFromName("astar"),
-              core::SearchEngine::kAStar);
-    // The retired engines are unknown names now, like any typo.
-    for (const char *name : {"sparse", "beam", "bogus"})
-        EXPECT_THROW((void)core::searchEngineFromName(name),
-                     util::FatalError)
-            << name;
 }

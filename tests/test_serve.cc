@@ -6,7 +6,7 @@
  * corrupt-entry quarantine, --no-cache bypass), the warm-session LRU,
  * and the server protocol end to end — including the acceptance
  * differential: a warm-cache plan is bit-identical to a cold search
- * across engines and across thread counts.
+ * (and to both library engines) and across thread counts.
  */
 
 #include <bit>
@@ -1026,48 +1026,63 @@ struct PlanResponse
             search->find("width_used")->asNumber());
         return r;
     }
+
+    /** The returned plan, decoded from its per-level bit strings. */
+    core::HierarchicalPlan plan() const
+    {
+        core::HierarchicalPlan out;
+        for (const std::string &bits : planBits) {
+            core::LevelPlan lp;
+            for (const char c : bits)
+                lp.push_back(c == '1' ? core::Parallelism::kModel
+                                      : core::Parallelism::kData);
+            out.levels.push_back(lp);
+        }
+        return out;
+    }
 };
 
 } // namespace
 
-TEST(Server, WarmCachePlanIsBitIdenticalToColdSearchAcrossEngines)
+TEST(Server, WarmCachePlanIsBitIdenticalToColdSearch)
 {
     TempDir tmp("serve_diff");
-    const std::string request =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("engine":"ENGINE"})";
+    const std::string line =
+        R"({"op":"plan","model":"Lenet-c","strategy":"optimal"})";
 
-    std::optional<PlanResponse> reference;
-    for (const std::string engine : {"dense", "astar"}) {
-        std::string line = request;
-        line.replace(line.find("ENGINE"), 6, engine);
+    // Cold: a fresh server with a fresh cache directory searches.
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path;
+    serve::Server cold(opts);
+    const PlanResponse first =
+        PlanResponse::parse(runBatch(cold, {line}).at(0));
+    EXPECT_EQ(first.cacheOutcome, "miss");
 
-        // Cold: a fresh server with a fresh cache directory searches.
-        serve::ServeOptions opts;
-        opts.cacheDir = tmp.path / engine;
-        serve::Server cold(opts);
-        const PlanResponse first =
-            PlanResponse::parse(runBatch(cold, {line}).at(0));
-        EXPECT_EQ(first.cacheOutcome, "miss");
+    // Warm: a *new* server over the same directory must replay the
+    // stored result bit-identically (plan, bytes, certificate).
+    serve::Server warm(opts);
+    const PlanResponse second =
+        PlanResponse::parse(runBatch(warm, {line}).at(0));
+    EXPECT_EQ(second.cacheOutcome, "hit");
+    EXPECT_EQ(second.planBits, first.planBits);
+    EXPECT_EQ(second.commBytes, first.commBytes); // exact doubles
+    EXPECT_EQ(second.transitions, first.transitions);
+    EXPECT_TRUE(second.certified);
 
-        // Warm: a *new* server over the same directory must replay the
-        // stored result bit-identically (plan, bytes, certificate).
-        serve::Server warm(opts);
-        const PlanResponse second =
-            PlanResponse::parse(runBatch(warm, {line}).at(0));
-        EXPECT_EQ(second.cacheOutcome, "hit");
-        EXPECT_EQ(second.planBits, first.planBits);
-        EXPECT_EQ(second.commBytes, first.commBytes); // exact doubles
-        EXPECT_EQ(second.transitions, first.transitions);
-        EXPECT_TRUE(second.certified);
-
-        // All exact engines agree on the optimum (and its cost).
-        if (!reference) {
-            reference = first;
-        } else {
-            EXPECT_EQ(first.planBits, reference->planBits) << engine;
-            EXPECT_EQ(first.commBytes, reference->commBytes) << engine;
-        }
+    // Both exact library engines agree on the served optimum (and its
+    // cost), so the cache never depends on which engine filled it.
+    const dnn::Network net = dnn::makeLenetC();
+    const core::CommModel model(net, core::CommConfig{});
+    for (const auto engine :
+         {core::SearchEngine::kDense, core::SearchEngine::kAStar}) {
+        core::SearchOptions search;
+        search.engine = engine;
+        const auto direct =
+            core::OptimalPartitioner(model).partition(4, search);
+        EXPECT_EQ(first.plan(), direct.plan)
+            << static_cast<int>(engine);
+        EXPECT_EQ(first.commBytes, direct.commBytes)
+            << static_cast<int>(engine);
     }
 }
 
@@ -1112,14 +1127,7 @@ TEST(Server, CachedPlanEvaluatesIdenticallyAtEveryThreadCount)
     // Decode both responses' plans and score them through explicit
     // serial (0 workers) and multi-threaded pools: every combination
     // must produce the same StepMetrics bit for bit.
-    core::HierarchicalPlan plan;
-    for (const std::string &bits : warm.planBits) {
-        core::LevelPlan lp;
-        for (const char c : bits)
-            lp.push_back(c == '1' ? core::Parallelism::kModel
-                                  : core::Parallelism::kData);
-        plan.levels.push_back(lp);
-    }
+    const core::HierarchicalPlan plan = warm.plan();
     const sim::Evaluator evaluator(dnn::modelByName("Lenet-c"),
                                    sim::SimConfig{});
     const std::vector<core::HierarchicalPlan> plans(4, plan);
@@ -1741,11 +1749,12 @@ TEST(Server, ErrorResponsesEchoTheOpWhenItParsed)
     EXPECT_EQ(serve::JsonValue::parse(responses[3]).find("op"), nullptr);
 }
 
-TEST(Server, RetiredBeamFieldsAndEnginesAreRejectedInBand)
+TEST(Server, RetiredSearchFieldsAreRejectedInBand)
 {
-    // beam_width and width_hint left the schema with the beam engine:
-    // they are unknown fields now, and the retired engine names are
-    // unknown engines. Each answers ok:false; the server carries on.
+    // beam_width and width_hint left the schema with the beam engine,
+    // and engine left it once the partitioner picked its own: each is
+    // an unknown field now, whatever its value. Each answers ok:false;
+    // the server carries on with the next request.
     serve::ServeOptions opts;
     opts.noCache = true;
     serve::Server server(opts);
@@ -1758,14 +1767,13 @@ TEST(Server, RetiredBeamFieldsAndEnginesAreRejectedInBand)
          R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
          R"("engine":"beam"})",
          R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-         R"("engine":"sparse"})",
-         R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-         R"("engine":"astar"})"});
+         R"("engine":"astar"})",
+         R"({"op":"plan","model":"Lenet-c","strategy":"optimal"})"});
     ASSERT_EQ(responses.size(), 5u);
     const char *expected[] = {"unknown request field 'beam_width'",
                               "unknown request field 'width_hint'",
-                              "unknown search engine 'beam'",
-                              "unknown search engine 'sparse'"};
+                              "unknown request field 'engine'",
+                              "unknown request field 'engine'"};
     for (std::size_t i = 0; i < 4; ++i) {
         const serve::JsonValue v = serve::JsonValue::parse(responses[i]);
         EXPECT_FALSE(v.find("ok")->asBool()) << responses[i];
@@ -1802,9 +1810,9 @@ TEST(Server, RejectedRequestsNeverTouchTheSessionRegistry)
          R"("faults":{"nodes":[[99,0.5]]}})",
          // distinct context that would evict, but the strategy is bad
          R"({"op":"evaluate","model":"SFC","strategy":"bogus"})",
-         // distinct context with an unknown engine
+         // distinct context carrying an unknown field
          R"({"op":"plan","model":"SFC","strategy":"optimal",)"
-         R"("engine":"warp"})"});
+         R"("engine":"astar"})"});
     for (const std::string &line : responses)
         EXPECT_FALSE(serve::JsonValue::parse(line).find("ok")->asBool())
             << line;
@@ -1976,8 +1984,9 @@ TEST(Canonical, ChainHashesArePinnedAcrossTheDagGeneralization)
     // pre-DAG build keeps hitting. If the first expectation fails,
     // kCanonicalVersion was effectively broken for every deployment.
     // The plan hash was re-pinned when width_hint left the key text
-    // (kPlanCacheVersion 2); it moves only with the cache version. The
-    // beam engine's retirement kept it: its knobs render as constants.
+    // (kPlanCacheVersion 2). The beam engine's retirement kept it (its
+    // knobs render as constants), and so did kPlanCacheVersion 3, which
+    // moved the stored search stats but not the key text.
     const dnn::Network net = dnn::makeLenetC();
     const sim::SimConfig cfg;
     EXPECT_EQ(serve::contextHash(net, cfg),

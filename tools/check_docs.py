@@ -6,15 +6,13 @@ Checked documents: README.md, docs/ARCHITECTURE.md, docs/SERVING.md,
 tools/README.md.
 Checked reference kinds:
 
-  * CLI flags (``--engine``, ``--no-cache``, ...) must appear in
+  * CLI flags (``--levels``, ``--no-cache``, ...) must appear in
     tools/hyparc_app.cc (its parser or usage string).
   * The reverse direction too: every flag hyparc's parser accepts
     (``arg == "--x"`` in parseArgs) must be advertised in the usage()
     string and mentioned by at least one checked document, so a new
     flag (``--overlap``, ``--limit``, ``--seed``, ...) cannot land
     undocumented.
-  * Search-engine names (``--engine <name>``) must be accepted by
-    searchEngineFromName in src/core/optimal_partitioner.cc.
   * Backticked targets that look like binaries/targets
     (``bench_*``, ``test_*``, ``hyparc``, ``example_*``,
     ``*_json``) must exist as sources or CMake custom targets.
@@ -111,13 +109,9 @@ def fail(errors):
 def main():
     errors = []
     app = read("tools/hyparc_app.cc")
-    engines = read("src/core/optimal_partitioner.cc")
     zoo = read("src/dnn/model_zoo.cc")
     cmake = read("CMakeLists.txt")
 
-    known_engines = set(
-        re.findall(r'name == "(\w+)"', engines)
-    )
     # Zoo names are only the ones NetworkBuilder registers (not every
     # quoted string — layer names would silence the check).
     known_models = set(
@@ -176,13 +170,6 @@ def main():
                 continue
             if flag not in known_flags:
                 errors.append(f"{doc}: flag '{flag}' not in hyparc_app.cc")
-
-        # Engine names in `--engine X` examples.
-        for name in re.findall(r"--engine[ =](\w+)", text):
-            if name not in known_engines:
-                errors.append(
-                    f"{doc}: engine '{name}' not accepted by "
-                    "searchEngineFromName")
 
         # Zoo models in `--model X` examples.
         for name in re.findall(r"--model ([\w-]+)", text):

@@ -73,10 +73,7 @@ makeStrategyPlan(const Options &opts, const core::CommModel &model,
     if (opts.strategy == "owt")
         return core::makeOneWeirdTrickPlan(model.network(), opts.levels);
     if (opts.strategy == "optimal") {
-        core::SearchOptions search;
-        search.engine = core::searchEngineFromName(opts.engine);
-        auto result =
-            core::OptimalPartitioner(model).partition(opts.levels, search);
+        auto result = core::OptimalPartitioner(model).partition(opts.levels);
         if (search_out != nullptr)
             *search_out = result;
         return result.plan;
@@ -123,7 +120,7 @@ cmdPlan(const Options &opts, std::ostream &os)
     // relaxations and carry SearchStats (see HierarchicalResult).
     if (opts.verbose && opts.strategy == "optimal") {
         os << "transitions evaluated: " << search.transitionsEvaluated
-           << " (engine " << opts.engine << ")\n"
+           << "\n"
            << "nodes expanded: " << search.stats.expanded
            << ", pruned: " << search.stats.pruned << ", frontier width: "
            << search.stats.widthUsed << "\n"
@@ -683,7 +680,6 @@ cmdFaults(const Options &opts, std::ostream &os)
     ropts.rate = parseRate(opts.rate);
     ropts.samples = opts.samples;
     ropts.seed = opts.seed;
-    ropts.search.engine = core::searchEngineFromName(opts.engine);
     const sim::RobustResult result = sim::robustPlan(net, cfg, ropts);
 
     os << net.name() << ": robust plan over " << opts.samples
@@ -727,9 +723,8 @@ usage()
            "  --model <zoo name> | --spec <file>\n"
            "  [--levels N] [--batch B] [--topology htree|torus|mesh]\n"
            "  [--strategy hypar|dp|mp|owt|optimal] [-o|--output <file>]\n"
-           "  [--engine auto|dense|astar]\n"
-           "    (strategy=optimal: exact joint-DP engine; dense reaches\n"
-           "     H=10, astar H=16; auto picks dense, then astar)\n"
+           "    (strategy=optimal: the exact joint search, to H=16;\n"
+           "     its engine is picked from H)\n"
            "  [--verbose]  (plan: search diagnostics for --strategy\n"
            "     optimal: transitions evaluated, expanded/pruned\n"
            "     counts, frontier width, optimality certificate)\n"
@@ -805,8 +800,6 @@ parseArgs(const std::vector<std::string> &args)
             opts.topology = value(i);
         } else if (arg == "--strategy") {
             opts.strategy = value(i);
-        } else if (arg == "--engine") {
-            opts.engine = value(i);
         } else if (arg == "--axes") {
             opts.axes = value(i);
         } else if (arg == "--format") {

@@ -36,7 +36,6 @@ struct Options
     std::string output;       //!< -o target (trace, sweep, faults)
     std::string topology = "htree"; //!< htree | torus | mesh
     std::string strategy = "hypar"; //!< hypar | dp | mp | owt | optimal
-    std::string engine = "auto"; //!< auto | dense | astar
     std::string axes;         //!< sweep axes: "H1,H4" or "conv5_2,fc1"
     std::string format = "csv";     //!< sweep/faults output: csv | json
     std::string map;          //!< faults: fault-map file (--map)

@@ -8,7 +8,8 @@ in the specific ways the gate promises to catch and asserts it FAILS:
 
   * a flag removed from hyparc's parser while the docs still mention
     it (stale-flag direction) — and a parsed flag scrubbed from every
-    document (undocumented-flag direction);
+    document (undocumented-flag direction); a doc still advertising
+    the retired ``--engine`` flag is the same stale-flag case;
   * a request field removed from the kRequestFields whitelist in
     src/serve/server.hh while docs/SERVING.md still documents it, and
     the reverse (a schema row deleted from SERVING.md while the
@@ -92,6 +93,19 @@ class CheckDocsGate(unittest.TestCase):
         res = run_check(self.root)
         self.assertNotEqual(res.returncode, 0)
         self.assertIn("'--no-cache' not in hyparc_app.cc", res.stderr)
+
+    def test_retired_engine_flag_in_a_doc_fails(self):
+        # hyparc picks its own search engine; a doc that still tells
+        # users to pass --engine names a flag the parser rejects.
+        readme = self.root / "README.md"
+        readme.write_text(
+            readme.read_text(encoding="utf-8") +
+            "\n    build/hyparc plan --model VGG-E --strategy optimal "
+            "--engine astar\n",
+            encoding="utf-8")
+        res = run_check(self.root)
+        self.assertNotEqual(res.returncode, 0)
+        self.assertIn("'--engine' not in hyparc_app.cc", res.stderr)
 
     def test_undocumented_parsed_flag_fails(self):
         # Scrub --evict from every checked document (parser keeps it).
