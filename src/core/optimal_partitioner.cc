@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -500,8 +501,9 @@ beamPass(std::size_t levels, std::size_t num_layers,
             double *trans = &chunk_trans[ci * states];
             // tp[(h * 2 + sb) * (levels + 1) + b]: the (h, sb, b) table
             // entry at p's fixed column, gathered up front so the
-            // expansion reads contiguously.
-            std::vector<double> tp(levels * 2 * (levels + 1));
+            // expansion reads contiguously. Left uninitialized: the
+            // expansion reads only the b <= h entries written below.
+            std::array<double, kWideMax * 2 * (kWideMax + 1)> tp;
 
             for (std::size_t k = f_begin; k < f_end; ++k) {
                 const std::uint32_t p = frontier[k];
@@ -805,7 +807,6 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
     const std::uint32_t states = 1u << levels;
     auto &pool = util::ThreadPool::global();
     const std::size_t grain = pool.grainFor(states);
-    const std::size_t chunks = (states + grain - 1) / grain;
 
     WideTables tables;
     tables.intra = intraTable(levels);
@@ -924,7 +925,6 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
         std::make_unique_for_overwrite<std::uint16_t[]>(slots * c2stride);
     std::vector<double> min_keyC(nclass);
     std::vector<std::size_t> navailC(nclass);
-    std::vector<std::uint64_t> evaluated(chunks);
     std::uint64_t total_evaluated = incumbent.transitionsEvaluated;
     std::uint64_t expanded = 0;
     std::uint64_t pruned = 0;
@@ -1066,7 +1066,14 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                           : std::numeric_limits<double>::infinity();
         pool.parallelFor(
             0, nclass, 1, [&](std::size_t c_begin, std::size_t c_end) {
-                std::vector<std::pair<double, std::uint32_t>> tmp(na);
+                // Trivial records, so the buffer skips a zero fill of
+                // all na entries when the cut keeps only a prefix.
+                struct Keyed
+                {
+                    double key;
+                    std::uint32_t p;
+                };
+                const auto tmp = std::make_unique_for_overwrite<Keyed[]>(na);
                 for (std::size_t c = c_begin; c < c_end; ++c) {
                     // Classes whose popcount is inconsistent with
                     // their top-bit pattern contain no targets; skip
@@ -1094,16 +1101,17 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                     }
                     min_keyC[c] = mk;
                     navailC[c] = m;
-                    // std::pair's lexicographic order (key, then state
-                    // id) is exactly better()'s total order.
-                    std::sort(tmp.begin(), tmp.begin() + m);
+                    std::sort(tmp.get(), tmp.get() + m,
+                              [](const Keyed &x, const Keyed &y) {
+                                  return better(x.key, x.p, y.key, y.p);
+                              });
                     double *okey = &ordKey[c * na];
                     double *ocost = &ordCost[c * na];
                     std::uint32_t *op = &ordP[c * na];
                     std::uint16_t *oc2 = &ordC2[c * na * c2stride];
                     for (std::size_t k = 0; k < m; ++k) {
-                        const std::uint32_t p = tmp[k].second;
-                        okey[k] = tmp[k].first;
+                        const std::uint32_t p = tmp[k].p;
+                        okey[k] = tmp[k].key;
                         ocost[k] = cost[p];
                         op[k] = p;
                         std::memcpy(&oc2[k * c2stride],
@@ -1122,22 +1130,17 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
             m = std::min(m, cost[p]);
         }
 
-        std::fill(evaluated.begin(), evaluated.end(), 0);
-        pool.parallelFor(0, states, grain, [&](std::size_t s_begin,
-                                               std::size_t s_end) {
-            std::uint64_t &count = evaluated[s_begin / grain];
+        // One chunk of nodes; returns its screened-candidate count,
+        // kept in a local so the chunks share no counter line
+        // (thread_pool.hh, per-chunk slots).
+        auto scan = [&](std::size_t s_begin, std::size_t s_end) {
+            std::uint64_t count = 0;
             std::array<const double *, kWideMax> rows;
             std::array<double, kWideMax + 1> lbc;
             std::array<double, 2976> P; // level-pair sums, H = 16 max
 
             for (std::size_t s = s_begin; s < s_end; ++s) {
                 const auto sv = static_cast<std::uint32_t>(s);
-                for (std::size_t h = 0; h < levels; ++h) {
-                    const unsigned sb = (sv >> h) & 1u;
-                    const unsigned b = dpAbove(sv, h);
-                    rows[h] = iterm.rowAt(h, sb, b);
-                }
-
                 const std::size_t pc_s = classOf(sv);
 
                 // Cheap node precheck first: if even the cheapest
@@ -1149,6 +1152,12 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                     parent_l[s] = 0;
                     dead[s] = 1;
                     continue;
+                }
+
+                for (std::size_t h = 0; h < levels; ++h) {
+                    const unsigned sb = (sv >> h) & 1u;
+                    const unsigned b = dpAbove(sv, h);
+                    rows[h] = iterm.rowAt(h, sb, b);
                 }
 
                 // The target-side mirror of keyC: a count DP over the
@@ -1300,10 +1309,12 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                 parent_l[s] = best_prev;
                 dead[s] = g + suffix_l[s] > ub ? 1 : 0;
             }
-        });
+            return count;
+        };
+        total_evaluated += pool.parallelReduce(
+            std::size_t{0}, std::size_t{states}, grain, std::uint64_t{0},
+            scan, std::plus<>());
 
-        for (std::uint64_t e : evaluated)
-            total_evaluated += e;
         alive.clear();
         for (std::uint32_t s = 0; s < states; ++s)
             if (!dead[s])

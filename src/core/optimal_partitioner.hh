@@ -37,8 +37,9 @@
  *    no longer beat the best candidate. Exact and bit-identical to
  *    the dense DP at every depth (the bound never prunes a state on
  *    an optimal path — see "The admissible suffix bound" below).
- *    H = 16 on VGG-E runs in ~1.7 s on a 4-vCPU Xeon VM, and the
- *    per-state search loops parallelize on multi-core hosts.
+ *    H = 16 on VGG-E runs in ~1.1 s (~3.8 s CPU) on a 4-vCPU Xeon
+ *    VM, and the per-state search loops parallelize on multi-core
+ *    hosts.
  *
  *  - kAuto (default) — dense up to H = 10 (bit-exact historical
  *    behaviour for every depth that was previously reachable), A*

@@ -35,6 +35,9 @@
  *    a time). Safe, deterministic per call site, but the batches run
  *    back to back — concurrency should come from one outer
  *    parallelFor, not from racing submitters.
+ *  - Per-chunk slots: a body accumulates into locals and writes its
+ *    chunk's slot once, at the end — adjacent slots share cache lines,
+ *    so a store per iteration bounces them between threads.
  */
 
 #ifndef HYPAR_UTIL_THREAD_POOL_HH

@@ -258,7 +258,7 @@ TEST(OptimalPartitioner, ShallowSearchesCountEveryTransition)
 
 TEST(OptimalPartitioner, AStarSearchStatsArePinnedPastTheDenseCeiling)
 {
-    // The pristine default config's A* results at H = 12/13, pinned bit
+    // The pristine default config's A* results at H = 12..14, pinned bit
     // for bit: commBytes, transitions, expanded/pruned and width all
     // feed the `search` object of plan responses and cache entries.
     // The stats move with the suffix bound, the intra table and the
@@ -284,6 +284,10 @@ TEST(OptimalPartitioner, AStarSearchStatsArePinnedPastTheDenseCeiling)
          896},
         {"VGG-E", 13, 256, 0x424f899c85000000u, 13708608, 21244, 134404,
          3718},
+        // The widest frontier pinned: 6006 live states per layer feed
+        // the scan's once-per-chunk transition counts.
+        {"VGG-E", 14, 256, 0x4256b6d642800000u, 38649871, 41073, 270223,
+         6006},
     };
     for (const Pin &pin : pins) {
         const dnn::Network net = dnn::modelByName(pin.model);
