@@ -409,14 +409,14 @@ struct WideTables
  * One fixed-width beam pass: A*'s incumbent. Keeps the `beam_width`
  * best states of each layer frontier as transition predecessors and
  * returns an achieved plan, whose cost upper-bounds the optimum, with
- * its transitionsEvaluated.
+ * its transitionsEvaluated. Serial: at width 8 a layer is 8 row
+ * relaxations, too little work to repay fanning it out and merging.
  */
 HierarchicalResult
 beamPass(std::size_t levels, std::size_t num_layers,
          std::size_t beam_width, const WideTables &tables)
 {
     const std::uint32_t states = 1u << levels;
-    auto &pool = util::ThreadPool::global();
     const simd::Kernels &kern = simd::activeKernels();
     const std::vector<std::uint8_t> pcnt = buildPcnt(states);
 
@@ -426,28 +426,9 @@ beamPass(std::size_t levels, std::size_t num_layers,
     std::vector<double> next(states);
     std::vector<std::uint32_t> frontier;
     std::vector<double> fscore(states);
-    std::uint64_t total_evaluated = 0;
-
-    // Parallelize over frontier chunks: each chunk relaxes every target
-    // state into its own (best, prev) rows, merged below. An argmin
-    // under the strict total order of better() is independent of how
-    // candidates are grouped, so the merge is bit-identical for every
-    // chunk grid and thread count. The frontier holds
-    // min(beam_width, states) states at every layer, so the grid — and
-    // the per-chunk rows, allocated once here and refilled by their
-    // own chunk each layer — is fixed for the whole pass.
+    // trans[s] = interCost(l-1, p, s) for the current predecessor p.
+    const auto trans = std::make_unique_for_overwrite<double[]>(states);
     const std::size_t fsize = std::min<std::size_t>(beam_width, states);
-    const std::size_t fgrain =
-        std::max<std::size_t>(1, fsize / (2 * pool.parallelism()));
-    const std::size_t chunks = (fsize + fgrain - 1) / fgrain;
-    const std::size_t rows = chunks * std::size_t{states};
-    const auto chunk_best = std::make_unique_for_overwrite<double[]>(rows);
-    const auto chunk_prev =
-        std::make_unique_for_overwrite<std::uint32_t[]>(rows);
-    // trans rows, one per chunk: interCost(l-1, p, s) for the chunk's
-    // current predecessor p over all 2^H targets.
-    const auto chunk_trans =
-        std::make_unique_for_overwrite<double[]>(rows);
 
     // The beam: the `beam_width` best states under (f, index) with
     // f = cost-so-far + suffix bound — ranked by provable completable
@@ -474,6 +455,11 @@ beamPass(std::size_t levels, std::size_t num_layers,
         }
     };
 
+    // tp[(h * 2 + sb) * (levels + 1) + b]: the (h, sb, b) table entry
+    // at p's fixed column, gathered up front so the expansion reads
+    // contiguously. Left uninitialized: the expansion reads only the
+    // b <= h entries written below.
+    std::array<double, kWideMax * 2 * (kWideMax + 1)> tp;
     for (std::size_t l = 1; l < num_layers; ++l) {
         const InterTermTable &iterm = tables.inter[l - 1];
         const double *intra_l = &intra[l * states];
@@ -482,75 +468,41 @@ beamPass(std::size_t levels, std::size_t num_layers,
         pruneFrontier(l - 1);
         HYPAR_ASSERT(frontier.size() == fsize,
                      "beam frontier width changed between layers");
-        total_evaluated += static_cast<std::uint64_t>(fsize) * states;
 
-        pool.parallelFor(0, fsize, fgrain, [&](std::size_t f_begin,
-                                               std::size_t f_end) {
-            const std::size_t ci = f_begin / fgrain;
-            double *best = &chunk_best[ci * states];
-            std::uint32_t *prev = &chunk_prev[ci * states];
-            std::fill_n(best, states,
-                        std::numeric_limits<double>::infinity());
-            std::fill_n(prev, states, 0u);
-            // trans[s] = interCost(l-1, p, s) for the chunk's current
-            // predecessor p, built for all 2^H target states at once by
-            // expanding one level bit at a time — the mirror image of
-            // the dense engine's p-side expansion, with the additions
-            // in the same level-ascending order, so every transition
-            // sum is bit-identical to the dense DP's.
-            double *trans = &chunk_trans[ci * states];
-            // tp[(h * 2 + sb) * (levels + 1) + b]: the (h, sb, b) table
-            // entry at p's fixed column, gathered up front so the
-            // expansion reads contiguously. Left uninitialized: the
-            // expansion reads only the b <= h entries written below.
-            std::array<double, kWideMax * 2 * (kWideMax + 1)> tp;
-
-            for (std::size_t k = f_begin; k < f_end; ++k) {
-                const std::uint32_t p = frontier[k];
-                for (std::size_t h = 0; h < levels; ++h) {
-                    const std::size_t col =
-                        ((p >> h) & 1u) * (levels + 1) + dpAbove(p, h);
-                    for (unsigned sb = 0; sb < 2; ++sb) {
-                        for (unsigned b = 0; b <= h; ++b)
-                            tp[(h * 2 + sb) * (levels + 1) + b] =
-                                iterm.rowAt(h, sb, b)[col];
-                    }
+        std::fill_n(next.data(), states,
+                    std::numeric_limits<double>::infinity());
+        for (const std::uint32_t p : frontier) {
+            for (std::size_t h = 0; h < levels; ++h) {
+                const std::size_t col =
+                    ((p >> h) & 1u) * (levels + 1) + dpAbove(p, h);
+                for (unsigned sb = 0; sb < 2; ++sb) {
+                    for (unsigned b = 0; b <= h; ++b)
+                        tp[(h * 2 + sb) * (levels + 1) + b] =
+                            iterm.rowAt(h, sb, b)[col];
                 }
-
-                expandStates(kern, trans, tp.data(), pcnt.data(), levels);
-
-                // relaxRow keeps the incumbent on exact ties, which
-                // equals better() here because the frontier is sorted:
-                // within a chunk p strictly ascends, so the incumbent
-                // is always the lower-index candidate.
-                kern.relaxRow(best, prev, trans, cost[p], p, states);
             }
-        });
-
-        const std::size_t sgrain = pool.grainFor(states);
-        pool.parallelFor(0, states, sgrain, [&](std::size_t s_begin,
-                                                std::size_t s_end) {
-            for (std::size_t s = s_begin; s < s_end; ++s) {
-                double best = chunk_best[s];
-                std::uint32_t best_prev = chunk_prev[s];
-                for (std::size_t ci = 1; ci < chunks; ++ci) {
-                    const std::size_t k = ci * states + s;
-                    if (better(chunk_best[k], chunk_prev[k], best,
-                               best_prev)) {
-                        best = chunk_best[k];
-                        best_prev = chunk_prev[k];
-                    }
-                }
-                next[s] = best + intra_l[s];
-                parent_l[s] = best_prev;
-            }
-        });
+            // Built for all 2^H targets at once by expanding one level
+            // bit at a time — the mirror image of the dense engine's
+            // p-side expansion, with the additions in the same
+            // level-ascending order, so every transition sum is
+            // bit-identical to the dense DP's.
+            expandStates(kern, trans.get(), tp.data(), pcnt.data(),
+                         levels);
+            // relaxRow keeps the incumbent on exact ties, which equals
+            // better() here because the frontier is sorted: p strictly
+            // ascends, so the incumbent is the lower-index candidate.
+            kern.relaxRow(next.data(), parent_l, trans.get(), cost[p], p,
+                          states);
+        }
+        for (std::uint32_t s = 0; s < states; ++s)
+            next[s] += intra_l[s];
         cost.swap(next);
     }
 
     HierarchicalResult result =
         assemblePlan(levels, num_layers, states, cost, parent);
-    result.transitionsEvaluated = total_evaluated;
+    result.transitionsEvaluated =
+        static_cast<std::uint64_t>(fsize) * states * (num_layers - 1);
     return result;
 }
 
@@ -710,7 +662,7 @@ OptimalPartitioner::partitionDense(std::size_t levels) const
 {
     if (levels > kDenseMax)
         util::fatal("OptimalPartitioner: 4^H transitions explode past "
-                    "H = 10 (use the astar or auto engine)");
+                    "H = 10 (use SearchEngine::kAStar or kAuto)");
 
     // Below H = 3 the factored table holds more entries than the DP has
     // transitions, so the naive loop is cheaper. Results are identical.

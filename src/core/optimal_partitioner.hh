@@ -37,7 +37,7 @@
  *    no longer beat the best candidate. Exact and bit-identical to
  *    the dense DP at every depth (the bound never prunes a state on
  *    an optimal path — see "The admissible suffix bound" below).
- *    H = 16 on VGG-E runs in ~1.1 s (~3.8 s CPU) on a 4-vCPU Xeon
+ *    H = 16 on VGG-E runs in ~0.9 s (~3.0 s CPU) on a 4-vCPU Xeon
  *    VM, and the per-state search loops parallelize on multi-core
  *    hosts.
  *
@@ -50,8 +50,9 @@
  *
  * The per-search tables (the intra table both engines share, and A*'s
  * suffix bound) are serial level-bit expansions: 2^H adds per table
- * per layer. The search loops proper — the dense DP's targets, A*'s
- * incumbent chunks, key builds, class sorts and node scans — run on
+ * per layer, and so is A*'s width-8 incumbent pass. The search loops
+ * proper — the dense DP's targets, A*'s key builds, class sorts and
+ * node scans — run on
  * util::ThreadPool with fixed chunking (or order-independent
  * total-order argmins), so results are bit-identical for every thread
  * count; the dense path is also bit-identical to partitionReference(),
@@ -154,8 +155,13 @@ class OptimalPartitioner
     /** Depth ceiling of the A* engine (and of kAuto). */
     static constexpr std::size_t kMaxLevels = 16;
 
-    /** Width of the internal beam pass that seeds the A* incumbent. */
-    static constexpr std::size_t kIncumbentBeamWidth = 64;
+    /**
+     * Width of the internal beam pass that seeds the A* incumbent.
+     * Widths 4..16 leave the zoo's summed expanded/pruned counts where
+     * width 64 had them; 1..2 expand slightly more, and wider passes
+     * only add transitions.
+     */
+    static constexpr std::size_t kIncumbentBeamWidth = 8;
 
     explicit OptimalPartitioner(const CommModel &model);
 

@@ -97,10 +97,13 @@ namespace hypar::serve {
  *  files. Version 3: the key text held, but the stored `search` stats
  *  moved — DAG searches run one early-break scan, and H <= 2 searches
  *  count their 4^H (L-1) transitions — so version-2 entries quarantine
- *  as misses instead of answering with the old stats. Entries keyed
- *  under a retired engine or beam knob are never read again (no
+ *  as misses instead of answering with the old stats. Version 4: A*'s
+ *  incumbent pass narrowed (width 64 -> 8), which moves the stored
+ *  `search` stats (transitions, and expanded/pruned in a few searches)
+ *  of every H > 10 plan; plans and comm_bytes are unchanged. Entries
+ *  keyed under a retired engine or beam knob are never read again (no
  *  request renders that text any more). */
-inline constexpr int kPlanCacheVersion = 3;
+inline constexpr int kPlanCacheVersion = 4;
 
 /** Format tag every plan entry must carry. */
 inline constexpr const char *kPlanCacheFormat = "hyparc-plan-cache";

@@ -30,6 +30,11 @@
  *    in ascending order. Because the chunk grid is fixed, the nested
  *    results are bit-identical to a top-level run — the nested caller
  *    just doesn't recruit help.
+ *  - One chunk: a top-level call whose range fits in one chunk
+ *    (end - begin <= grain) also runs inline on the caller, but
+ *    without marking the pool active. A parallelFor nested inside
+ *    such a body is therefore a top-level call and still fans out
+ *    over the workers.
  *  - Concurrent: top-level parallelFor calls from different threads
  *    serialize on an internal submission mutex (one batch in flight at
  *    a time). Safe, deterministic per call site, but the batches run

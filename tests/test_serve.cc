@@ -1231,6 +1231,68 @@ TEST(Server, QuarantinedEntryIsReplannedInBand)
               "hit");
 }
 
+TEST(Server, PreviousVersionEntryIsQuarantinedAndResearched)
+{
+    // The migration every kPlanCacheVersion bump relies on: an entry
+    // from the previous version carries the right key and plan but
+    // stale `search` stats, so it must answer as a miss, be searched
+    // again and be overwritten with the current version's entry.
+    TempDir tmp("serve_old_version");
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path;
+    const std::string line = R"({"op":"plan","model":"Lenet-c",)"
+                             R"("strategy":"optimal"})";
+    serve::Server server(opts);
+    const PlanResponse cold =
+        PlanResponse::parse(runBatch(server, {line}).at(0));
+    ASSERT_EQ(cold.cacheOutcome, "miss");
+
+    fs::path entry;
+    for (const auto &e : fs::directory_iterator(tmp.path))
+        if (e.path().extension() == ".json")
+            entry = e.path();
+    ASSERT_FALSE(entry.empty());
+    const auto readEntry = [&] {
+        std::ifstream in(entry, std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
+    };
+    const std::string current = readEntry();
+    const std::string tag =
+        "\"version\": " + std::to_string(serve::kPlanCacheVersion) + ",";
+    const std::string stale =
+        "\"version\": " + std::to_string(serve::kPlanCacheVersion - 1) +
+        ",";
+    // A stale entry also carries stale stats: a read of it would show.
+    const std::string transitions =
+        "\"transitions_evaluated\": " + std::to_string(cold.transitions);
+    std::string old = current;
+    ASSERT_NE(old.find(tag), std::string::npos) << old;
+    ASSERT_NE(old.find(transitions), std::string::npos) << old;
+    old.replace(old.find(tag), tag.size(), stale);
+    old.replace(old.find(transitions), transitions.size(),
+                "\"transitions_evaluated\": " +
+                    std::to_string(cold.transitions + 1));
+    writeFile(entry, old);
+
+    serve::Server fresh(opts);
+    const PlanResponse replanned =
+        PlanResponse::parse(runBatch(fresh, {line}).at(0));
+    EXPECT_EQ(replanned.cacheOutcome, "miss");
+    EXPECT_EQ(fresh.cache().stats().quarantined, 1u);
+    EXPECT_EQ(replanned.planBits, cold.planBits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(replanned.commBytes),
+              std::bit_cast<std::uint64_t>(cold.commBytes));
+    EXPECT_EQ(replanned.transitions, cold.transitions);
+    EXPECT_EQ(readEntry(), current); // overwritten at the new version
+
+    serve::Server again(opts);
+    EXPECT_EQ(PlanResponse::parse(runBatch(again, {line}).at(0))
+                  .cacheOutcome,
+              "hit");
+}
+
 // --- Server: hits answered at admission ------------------------------------
 
 namespace {

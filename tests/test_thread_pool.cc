@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hh"
@@ -161,4 +165,34 @@ TEST(ThreadPool, ConcurrentTopLevelSubmissionsSerialize)
     });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPool, OneChunkCallRunsInlineAndLeavesNestedLoopsParallel)
+{
+    // A top-level call whose range fits in one chunk runs its body on
+    // the calling thread without marking the pool active, so a loop
+    // nested inside that body is a top-level call and still fans out.
+    ThreadPool pool(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id ran_on;
+    std::mutex mu;
+    std::condition_variable cv;
+    int started = 0;
+    bool overlapped = false;
+    pool.parallelFor(0, 4, 4, [&](std::size_t, std::size_t) {
+        ran_on = std::this_thread::get_id();
+        // Two one-item chunks that each wait for the other to start:
+        // they meet only if a second thread runs one of them. An
+        // inline walk times out instead of hanging.
+        pool.parallelFor(0, 2, 1, [&](std::size_t, std::size_t) {
+            std::unique_lock<std::mutex> lock(mu);
+            ++started;
+            cv.notify_all();
+            if (cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return started == 2; }))
+                overlapped = true;
+        });
+    });
+    EXPECT_EQ(ran_on, caller);
+    EXPECT_TRUE(overlapped);
 }
