@@ -541,8 +541,9 @@ assemblePlan(std::size_t levels, std::size_t num_layers,
 
 } // namespace
 
-OptimalPartitioner::OptimalPartitioner(const CommModel &model)
-    : model_(&model)
+OptimalPartitioner::OptimalPartitioner(const CommModel &model,
+                                       util::ThreadPool &pool)
+    : model_(&model), pool_(&pool)
 {}
 
 double
@@ -612,12 +613,6 @@ OptimalPartitioner::intraTable(std::size_t levels) const
 }
 
 HierarchicalResult
-OptimalPartitioner::partition(std::size_t levels) const
-{
-    return partition(levels, SearchOptions{});
-}
-
-HierarchicalResult
 OptimalPartitioner::partition(std::size_t levels,
                               const SearchOptions &options) const
 {
@@ -673,9 +668,9 @@ OptimalPartitioner::partitionDense(std::size_t levels) const
     HYPAR_ASSERT(num_layers > 0, "partitioning an empty network");
 
     const std::uint32_t states = 1u << levels;
-    auto &pool = util::ThreadPool::global();
-    // Fixed chunking => identical chunk grids (and thus identical
-    // per-state results) for every thread count; see thread_pool.hh.
+    util::ThreadPool &pool = *pool_;
+    // Every target state is written by index, so any chunk grid (the
+    // grain follows the pool's size) gives bit-identical results.
     const std::size_t grain = pool.grainFor(states);
 
     const std::vector<double> intra = intraTable(levels);
@@ -757,7 +752,7 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
     HYPAR_ASSERT(num_layers > 0, "partitioning an empty network");
 
     const std::uint32_t states = 1u << levels;
-    auto &pool = util::ThreadPool::global();
+    util::ThreadPool &pool = *pool_;
     const std::size_t grain = pool.grainFor(states);
 
     WideTables tables;

@@ -52,11 +52,17 @@
  * suffix bound) are serial level-bit expansions: 2^H adds per table
  * per layer, and so is A*'s width-8 incumbent pass. The search loops
  * proper — the dense DP's targets, A*'s key builds, class sorts and
- * node scans — run on
- * util::ThreadPool with fixed chunking (or order-independent
- * total-order argmins), so results are bit-identical for every thread
- * count; the dense path is also bit-identical to partitionReference(),
- * the original naive DP kept as a test oracle.
+ * node scans — run on the util::ThreadPool the partitioner was
+ * constructed with, never on a pool of their own choosing: the front
+ * end that owns a request decides which threads serve it (the CLI
+ * passes the process pool, a server its ServeOptions::pool, a test a
+ * serial pool). Every per-state result is written by index or reduced
+ * by an order-independent total-order argmin, so plans and stats are
+ * bit-identical on every pool and thread count. At H <= 2 both
+ * engines run partitionReference(), the naive serial DP: there the
+ * factored tables hold more entries than the DP has transitions. The
+ * dense path is bit-identical to it at every depth, so it doubles as
+ * the dense engine's test oracle.
  *
  * ## The admissible suffix bound h[l][s]
  *
@@ -124,6 +130,7 @@
 #include "core/comm_model.hh"
 #include "core/hierarchical_partitioner.hh"
 #include "core/plan.hh"
+#include "util/thread_pool.hh"
 
 namespace hypar::core {
 
@@ -163,25 +170,30 @@ class OptimalPartitioner
      */
     static constexpr std::size_t kIncumbentBeamWidth = 8;
 
-    explicit OptimalPartitioner(const CommModel &model);
+    /**
+     * Search `model` with the loops fanned out over `pool`. Both are
+     * held by reference and must outlive the partitioner.
+     */
+    explicit OptimalPartitioner(
+        const CommModel &model,
+        util::ThreadPool &pool = util::ThreadPool::global());
 
     /**
-     * Optimal hierarchical plan for `levels` levels via the kAuto
-     * engine policy: the exact dense DP up to H = 10 (bit-identical to
-     * the historical behaviour), the A* engine beyond — exact at every
-     * accepted depth. Ties break toward the dp-heavier state
-     * (core/tie_break.hh). Fatal for levels > 16.
+     * Optimal hierarchical plan for `levels` levels. The default kAuto
+     * engine policy runs the exact dense DP up to H = 10 (bit-identical
+     * to the historical behaviour) and the A* engine beyond — exact at
+     * every accepted depth; `options` may pin one engine. Ties break
+     * toward the dp-heavier state (core/tie_break.hh). Fatal for
+     * levels > 16.
      */
-    HierarchicalResult partition(std::size_t levels) const;
-
-    /** Same search with an explicit engine. */
     HierarchicalResult partition(std::size_t levels,
-                                 const SearchOptions &options) const;
+                                 const SearchOptions &options = {}) const;
 
     /**
      * The pre-optimization DP: per-transition intraCost/interCost
-     * calls, serial. Bit-identical results to the dense engine; kept
-     * as a test oracle and benchmark baseline. Fatal for levels > 10.
+     * calls, serial. Both engines' H <= 2 path, bit-identical to the
+     * dense engine at every depth, and its test oracle and benchmark
+     * baseline. Fatal for levels > 10.
      */
     HierarchicalResult partitionReference(std::size_t levels) const;
 
@@ -222,6 +234,7 @@ class OptimalPartitioner
     std::vector<double> intraTable(std::size_t levels) const;
 
     const CommModel *model_;
+    util::ThreadPool *pool_;
 };
 
 } // namespace hypar::core

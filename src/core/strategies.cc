@@ -1,6 +1,7 @@
 #include "core/strategies.hh"
 
 #include "core/hierarchical_partitioner.hh"
+#include "core/optimal_partitioner.hh"
 #include "util/logging.hh"
 
 namespace hypar::core {
@@ -67,6 +68,48 @@ makePlan(Strategy s, const CommModel &model, std::size_t levels)
         return makeHyparPlan(model, levels);
     }
     util::panic("unknown Strategy");
+}
+
+namespace {
+
+[[noreturn]] void
+unknownStrategy(const std::string &name)
+{
+    util::fatal("unknown strategy '" + name +
+                "' (hypar|dp|mp|owt|optimal)");
+}
+
+} // namespace
+
+void
+validateStrategyName(const std::string &name)
+{
+    if (name != "hypar" && name != "dp" && name != "mp" &&
+        name != "owt" && name != "optimal")
+        unknownStrategy(name);
+}
+
+HierarchicalPlan
+makeNamedPlan(const std::string &name, const CommModel &model,
+              std::size_t levels, util::ThreadPool &pool,
+              HierarchicalResult *search)
+{
+    if (name == "hypar")
+        return makeHyparPlan(model, levels);
+    if (name == "dp")
+        return makeDataParallelPlan(model.network(), levels);
+    if (name == "mp")
+        return makeModelParallelPlan(model.network(), levels);
+    if (name == "owt")
+        return makeOneWeirdTrickPlan(model.network(), levels);
+    if (name == "optimal") {
+        HierarchicalResult result =
+            OptimalPartitioner(model, pool).partition(levels);
+        if (search != nullptr)
+            *search = result;
+        return result.plan;
+    }
+    unknownStrategy(name);
 }
 
 } // namespace hypar::core

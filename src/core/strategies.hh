@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "core/comm_model.hh"
+#include "core/hierarchical_partitioner.hh"
 #include "core/plan.hh"
 #include "dnn/network.hh"
+#include "util/thread_pool.hh"
 
 namespace hypar::core {
 
@@ -46,6 +48,24 @@ const char *toString(Strategy s);
 /** Build the plan for a named strategy. */
 HierarchicalPlan makePlan(Strategy s, const CommModel &model,
                           std::size_t levels);
+
+/**
+ * Fatal unless `name` is a strategy the front ends accept (hyparc's
+ * `--strategy`, the serve `strategy` field): hypar | dp | mp | owt |
+ * optimal. Lets a server reject a bad name before it builds anything.
+ */
+void validateStrategyName(const std::string &name);
+
+/**
+ * Build the plan of the front-end strategy `name` (see
+ * validateStrategyName; fatal on any other name). "optimal" runs the
+ * exact joint search (OptimalPartitioner) on `pool` and, when `search`
+ * is non-null, stores its whole result there.
+ */
+HierarchicalPlan makeNamedPlan(const std::string &name,
+                               const CommModel &model, std::size_t levels,
+                               util::ThreadPool &pool,
+                               HierarchicalResult *search = nullptr);
 
 } // namespace hypar::core
 

@@ -119,6 +119,17 @@ topologyKindName(sim::TopologyKind kind)
     util::fatal("unknown topology kind");
 }
 
+sim::TopologyKind
+parseTopologyKind(const std::string &name)
+{
+    for (const sim::TopologyKind kind :
+         {sim::TopologyKind::kHTree, sim::TopologyKind::kTorus,
+          sim::TopologyKind::kMesh})
+        if (name == topologyKindName(kind))
+            return kind;
+    util::fatal("unknown topology '" + name + "' (htree|torus|mesh)");
+}
+
 const char *
 searchEngineName(core::SearchEngine engine)
 {
@@ -128,18 +139,6 @@ searchEngineName(core::SearchEngine engine)
       case core::SearchEngine::kAStar: return "astar";
     }
     util::fatal("unknown search engine");
-}
-
-const char *
-strategyName(core::Strategy strategy)
-{
-    switch (strategy) {
-      case core::Strategy::kDataParallel: return "dp";
-      case core::Strategy::kModelParallel: return "mp";
-      case core::Strategy::kOneWeirdTrick: return "owt";
-      case core::Strategy::kHypar: return "hypar";
-    }
-    util::fatal("unknown strategy");
 }
 
 std::string

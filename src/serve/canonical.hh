@@ -53,7 +53,6 @@
 #include <string>
 
 #include "core/optimal_partitioner.hh"
-#include "core/strategies.hh"
 #include "dnn/network.hh"
 #include "serve/sha256.hh"
 #include "sim/evaluator.hh"
@@ -133,11 +132,12 @@ std::string sweepHash(const dnn::Network &network,
 /** Canonical short name of a topology kind ("htree"/"torus"/"mesh"). */
 const char *topologyKindName(sim::TopologyKind kind);
 
+/** Inverse of topologyKindName, for the front ends' `topology`
+ *  option; fatal on any other name. */
+sim::TopologyKind parseTopologyKind(const std::string &name);
+
 /** Canonical short name of a search engine ("auto"/"dense"/...). */
 const char *searchEngineName(core::SearchEngine engine);
-
-/** Canonical short name of a strategy ("dp"/"mp"/"owt"/"hypar"). */
-const char *strategyName(core::Strategy strategy);
 
 /** printf "%.17g" of a double (round-trips binary64 exactly), via
  *  std::to_chars. */

@@ -9,7 +9,6 @@
 #include <ostream>
 #include <vector>
 
-#include "core/optimal_partitioner.hh"
 #include "core/plan.hh"
 #include "core/strategies.hh"
 #include "dnn/model_zoo.hh"
@@ -187,51 +186,10 @@ buildConfig(const Request &req)
     sim::SimConfig cfg;
     cfg.levels = req.levels;
     cfg.comm.batch = req.batch;
-    if (req.topology == "htree")
-        cfg.topology = sim::TopologyKind::kHTree;
-    else if (req.topology == "torus")
-        cfg.topology = sim::TopologyKind::kTorus;
-    else if (req.topology == "mesh")
-        cfg.topology = sim::TopologyKind::kMesh;
-    else
-        util::fatal("unknown topology '" + req.topology +
-                    "' (htree|torus|mesh)");
+    cfg.topology = parseTopologyKind(req.topology);
     cfg.options.overlapGradComm = req.overlap;
     cfg.faults = req.faults;
     return cfg;
-}
-
-void
-validateStrategyName(const std::string &strategy)
-{
-    if (strategy != "hypar" && strategy != "dp" && strategy != "mp" &&
-        strategy != "owt" && strategy != "optimal")
-        util::fatal("unknown strategy '" + strategy +
-                    "' (hypar|dp|mp|owt|optimal)");
-}
-
-/** Build the plan a request names (mirrors the CLI's strategy set). */
-core::HierarchicalPlan
-buildStrategyPlan(const Request &req, const core::CommModel &model,
-                  core::HierarchicalResult *search_out = nullptr)
-{
-    if (req.strategy == "hypar")
-        return core::makeHyparPlan(model, req.levels);
-    if (req.strategy == "dp")
-        return core::makeDataParallelPlan(model.network(), req.levels);
-    if (req.strategy == "mp")
-        return core::makeModelParallelPlan(model.network(), req.levels);
-    if (req.strategy == "owt")
-        return core::makeOneWeirdTrickPlan(model.network(), req.levels);
-    if (req.strategy == "optimal") {
-        auto result =
-            core::OptimalPartitioner(model).partition(req.levels);
-        if (search_out != nullptr)
-            *search_out = result;
-        return result.plan;
-    }
-    util::fatal("unknown strategy '" + req.strategy +
-                "' (hypar|dp|mp|owt|optimal)");
 }
 
 core::HierarchicalPlan
@@ -442,7 +400,7 @@ Server::processBatch(const std::vector<std::string> &lines,
             }
             p.network = buildNetwork(p.req);
             p.config = buildConfig(p.req);
-            validateStrategyName(p.req.strategy);
+            core::validateStrategyName(p.req.strategy);
             sim::validateFaults(p.config);
             p.key.emplace(*p.network, p.config);
             if (p.req.op == "evaluate") {
@@ -536,6 +494,15 @@ Server::processBatch(const std::vector<std::string> &lines,
     auto runGroup = [&](const std::vector<std::size_t> &members) {
         Session &session = *pending[members.front()].session;
         std::lock_guard<std::mutex> lock(session.mu);
+        // Searches and batch evaluations run on the server's pool: as
+        // a group body they run inline, and a lone group fans out.
+        auto strategyPlan = [&](const Request &req,
+                                core::HierarchicalResult *search =
+                                    nullptr) {
+            return core::makeNamedPlan(req.strategy,
+                                       session.evaluator->model(),
+                                       req.levels, *pool_, search);
+        };
 
         // Single-step evaluates first, coalesced through one
         // evaluateBatch fan-out (the order is observable only through
@@ -553,12 +520,11 @@ Server::processBatch(const std::vector<std::string> &lines,
                 for (const std::size_t i : co) {
                     Pending &p = pending[i];
                     if (!p.req.hasPlan)
-                        p.evalPlan = buildStrategyPlan(
-                            p.req, session.evaluator->model());
+                        p.evalPlan = strategyPlan(p.req);
                     plans.push_back(p.evalPlan);
                 }
                 const std::vector<sim::StepMetrics> metrics =
-                    session.evaluator->evaluateBatch(plans);
+                    session.evaluator->evaluateBatch(plans, *pool_);
                 for (std::size_t k = 0; k < co.size(); ++k) {
                     const std::size_t i = co[k];
                     responses[i] =
@@ -604,8 +570,7 @@ Server::processBatch(const std::vector<std::string> &lines,
                         result = std::move(*cached);
                     } else {
                         session.ensure();
-                        result.plan = buildStrategyPlan(
-                            p.req, session.evaluator->model(), &result);
+                        result.plan = strategyPlan(p.req, &result);
                         if (result.commBytes == 0.0 &&
                             p.req.strategy != "optimal")
                             result.commBytes =
@@ -622,8 +587,7 @@ Server::processBatch(const std::vector<std::string> &lines,
                     // cadence loop is not a batch entry point).
                     session.ensure();
                     if (!p.req.hasPlan)
-                        p.evalPlan = buildStrategyPlan(
-                            p.req, session.evaluator->model());
+                        p.evalPlan = strategyPlan(p.req);
                     const sim::StepMetrics m =
                         session.evaluator->evaluateSteadyState(
                             p.evalPlan, p.req.steps);
@@ -643,8 +607,7 @@ Server::processBatch(const std::vector<std::string> &lines,
                     } else {
                         session.ensure();
                         const core::HierarchicalPlan base =
-                            buildStrategyPlan(p.req,
-                                              session.evaluator->model());
+                            strategyPlan(p.req);
                         r.level = p.req.level;
                         session.evaluator->sweepNeighborhood(
                             base, p.req.level,

@@ -13,7 +13,7 @@
  *    requests arrived.
  *  - Batched admission: all `evaluate` requests of a batch that share
  *    a context hash are coalesced into one Evaluator::evaluateBatch
- *    call fanned over the process thread pool — the serving-tier
+ *    call fanned over the server's pool — the serving-tier
  *    counterpart of the sweep fast path. Results are written back by
  *    request index, so coalescing is invisible except for latency
  *    (and the `batched` count in the response, exposed for tests).
@@ -126,9 +126,11 @@ struct ServeOptions
      *  approximate resident size (Session::approxBytes) at the end of
      *  each batch, never below one session. */
     std::size_t maxSessionBytes = 0;
-    /** Pool the batch executor fans request groups over; nullptr =
+    /** The one pool a request runs on: admission, the group fan-out,
+     *  and every search and batch evaluation inside an op; nullptr =
      *  util::ThreadPool::global(). Tests and benches inject fixed-size
-     *  pools to pin the serial/concurrent differential. */
+     *  pools to pin the serial/concurrent differential; a 0-worker
+     *  pool runs every request strictly serially. */
     util::ThreadPool *pool = nullptr;
 };
 

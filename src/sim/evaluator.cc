@@ -151,20 +151,14 @@ Evaluator::evaluateBatch(std::span<const core::HierarchicalPlan> plans,
 }
 
 std::vector<StepMetrics>
-Evaluator::evaluateBatch(
-    std::span<const core::HierarchicalPlan> plans) const
-{
-    return evaluateBatch(plans, util::ThreadPool::global());
-}
-
-std::vector<StepMetrics>
-Evaluator::evaluateBatch(std::span<const core::Strategy> strategies) const
+Evaluator::evaluateBatch(std::span<const core::Strategy> strategies,
+                         util::ThreadPool &pool) const
 {
     std::vector<core::HierarchicalPlan> plans;
     plans.reserve(strategies.size());
     for (const core::Strategy s : strategies)
         plans.push_back(plan(s));
-    return evaluateBatch(plans);
+    return evaluateBatch(plans, pool);
 }
 
 void

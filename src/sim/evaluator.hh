@@ -123,18 +123,17 @@ class Evaluator
      * unaffected by batch calls.
      */
     std::vector<StepMetrics>
-    evaluateBatch(std::span<const core::HierarchicalPlan> plans) const;
-    std::vector<StepMetrics>
     evaluateBatch(std::span<const core::HierarchicalPlan> plans,
-                  util::ThreadPool &pool) const;
+                  util::ThreadPool &pool = util::ThreadPool::global()) const;
 
     /**
      * Strategy-sweep overload: build each named strategy's plan, then
-     * batch-evaluate them. results[i] is bit-identical to
+     * batch-evaluate them over `pool`. results[i] is bit-identical to
      * evaluate(strategies[i]).
      */
     std::vector<StepMetrics>
-    evaluateBatch(std::span<const core::Strategy> strategies) const;
+    evaluateBatch(std::span<const core::Strategy> strategies,
+                  util::ThreadPool &pool = util::ThreadPool::global()) const;
 
     /**
      * Incremental single-level sweep: visit the StepMetrics of `base`

@@ -42,7 +42,7 @@ robustPlan(const dnn::Network &network, const SimConfig &config,
         if (std::find(plans.begin(), plans.end(), plan) == plans.end())
             plans.push_back(std::move(plan));
     };
-    add_candidate(core::OptimalPartitioner(base.model())
+    add_candidate(core::OptimalPartitioner(base.model(), pool)
                       .partition(pristine.levels)
                       .plan);
 
@@ -54,7 +54,7 @@ robustPlan(const dnn::Network &network, const SimConfig &config,
         SimConfig degraded = pristine;
         degraded.faults = map;
         auto ev = std::make_unique<Evaluator>(network, degraded);
-        add_candidate(core::OptimalPartitioner(ev->model())
+        add_candidate(core::OptimalPartitioner(ev->model(), pool)
                           .partition(pristine.levels)
                           .plan);
         sample_evs.push_back(std::move(ev));
@@ -98,14 +98,6 @@ robustPlan(const dnn::Network &network, const SimConfig &config,
     result.pristineExpectedStepSeconds =
         result.candidates[0].expectedStepSeconds;
     return result;
-}
-
-RobustResult
-robustPlan(const dnn::Network &network, const SimConfig &config,
-           const RobustOptions &options)
-{
-    return robustPlan(network, config, options,
-                      util::ThreadPool::global());
 }
 
 } // namespace hypar::sim

@@ -89,18 +89,15 @@ struct RobustResult
 
 /**
  * Run the robust search for `network` under `config` (whose `faults`
- * field is ignored — the distribution replaces it). Fatal when
- * options.samples == 0 or options.rate is outside [0, 1].
+ * field is ignored — the distribution replaces it). Every exact search
+ * and every scoring batch runs on `pool`; the result is bit-identical
+ * on every pool. Fatal when options.samples == 0 or options.rate is
+ * outside [0, 1].
  */
 RobustResult robustPlan(const dnn::Network &network,
                         const SimConfig &config,
-                        const RobustOptions &options);
-
-/** Same, with an explicit pool (tests pin thread-count invariance). */
-RobustResult robustPlan(const dnn::Network &network,
-                        const SimConfig &config,
                         const RobustOptions &options,
-                        util::ThreadPool &pool);
+                        util::ThreadPool &pool = util::ThreadPool::global());
 
 } // namespace hypar::sim
 

@@ -133,7 +133,9 @@ class ThreadPool
     /**
      * Process-wide pool sized to the hardware (hardware_concurrency - 1
      * workers, clamped to [0, 15]). Lazily constructed, never destroyed
-     * before process exit.
+     * before process exit. Front ends hand it in; the library's search
+     * and evaluation code runs on the pool it is given and never looks
+     * this one up itself (headers may name it as a default argument).
      */
     static ThreadPool &global();
 

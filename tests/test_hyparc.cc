@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "hyparc_app.hh"
+#include "serve/json.hh"
 #include "util/logging.hh"
 
 using namespace hypar;
@@ -374,6 +375,36 @@ TEST(HyparcCommands, SpecFileEndToEnd)
     }
     const std::string out = run({"plan", "--spec", path});
     EXPECT_NE(out.find("spec-net"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(HyparcCommands, JsonOutputEscapesControlCharactersInNames)
+{
+    // A tab in the --spec path lands in the "model" value of every JSON
+    // writer; it must come out escaped, or the document does not parse.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("hyparc_test\tnet_" +
+          std::to_string(static_cast<unsigned>(::getpid())) + ".hp"))
+            .string();
+    {
+        std::ofstream f(path);
+        f << "network spec-net\ninput 1 28 28\nconv c1 8 5 pool 2\n"
+             "fc f1 10\n";
+    }
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"sweep", "--spec", path, "--axes",
+                                   "H1,H4", "--format", "json"},
+          std::vector<std::string>{"faults", "--spec", path, "--sweep",
+                                   "--rate", "0:0.2:2", "--samples",
+                                   "1", "--format", "json"}}) {
+        const std::string json = run(args);
+        serve::JsonValue doc;
+        ASSERT_NO_THROW(doc = serve::JsonValue::parse(json)) << json;
+        const serve::JsonValue *model = doc.find("model");
+        ASSERT_NE(model, nullptr);
+        EXPECT_EQ(model->asString(), path);
+    }
     std::remove(path.c_str());
 }
 

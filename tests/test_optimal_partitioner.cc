@@ -18,6 +18,7 @@
 #include "dnn/builder.hh"
 #include "dnn/model_zoo.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 #include "support/sparse_oracle.hh"
 
@@ -231,6 +232,36 @@ TEST(OptimalPartitioner, SearchStatsAreDeterministicAndConsistent)
     // The greedy Algorithm 2 carries no certificate.
     const auto greedy = HierarchicalPartitioner(model).partition(levels);
     EXPECT_FALSE(greedy.stats.certifiedExact);
+}
+
+TEST(OptimalPartitioner, ResultsAreIdenticalOnEveryPool)
+{
+    // The search loops run on the constructor's pool, and the pool's
+    // size sets their chunk grids; plans, costs and stats must not move.
+    const dnn::Network net = dnn::makeAlexNet();
+    CommModel model(net, CommConfig{});
+    util::ThreadPool serial(0);
+    util::ThreadPool wide(5);
+    for (const auto engine :
+         {core::SearchEngine::kDense, core::SearchEngine::kAStar}) {
+        core::SearchOptions o;
+        o.engine = engine;
+        for (const std::size_t levels : {3u, 8u}) {
+            const auto want =
+                OptimalPartitioner(model).partition(levels, o);
+            for (util::ThreadPool *pool : {&serial, &wide}) {
+                const auto got =
+                    OptimalPartitioner(model, *pool).partition(levels, o);
+                EXPECT_EQ(got.plan, want.plan);
+                EXPECT_EQ(got.commBytes, want.commBytes);
+                EXPECT_EQ(got.transitionsEvaluated,
+                          want.transitionsEvaluated);
+                EXPECT_EQ(got.stats.expanded, want.stats.expanded);
+                EXPECT_EQ(got.stats.pruned, want.stats.pruned);
+                EXPECT_EQ(got.stats.widthUsed, want.stats.widthUsed);
+            }
+        }
+    }
 }
 
 TEST(OptimalPartitioner, ShallowSearchesCountEveryTransition)

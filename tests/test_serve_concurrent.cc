@@ -14,19 +14,28 @@
  * cover every shared write.
  */
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <filesystem>
+#include <functional>
+#include <future>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "core/optimal_partitioner.hh"
 #include "dnn/model_zoo.hh"
 #include "serve/json.hh"
 #include "serve/server.hh"
+#include "sim/robust.hh"
 #include "util/thread_pool.hh"
 
 namespace fs = std::filesystem;
@@ -190,7 +199,111 @@ runBatch(serve::Server &server, const std::vector<std::string> &lines)
     return responses;
 }
 
+/**
+ * Holds the process pool busy: one top-level parallelFor from its own
+ * thread whose chunks — one per pool thread — wait until release().
+ * While it runs, the pool's workers are all taken and its submission
+ * mutex is held, so any other top-level call on it waits too.
+ */
+class ProcessPoolHolder
+{
+  public:
+    ProcessPoolHolder()
+        : holder_([this] {
+              util::ThreadPool &pool = util::ThreadPool::global();
+              pool.parallelFor(0, pool.parallelism(), 1,
+                               [this](std::size_t, std::size_t) {
+                                   entered_.fetch_add(1);
+                                   std::unique_lock<std::mutex> lock(mu_);
+                                   cv_.wait(lock, [this] { return released_; });
+                               });
+          })
+    {
+        while (entered_.load() == 0)
+            std::this_thread::yield();
+    }
+
+    ~ProcessPoolHolder()
+    {
+        release();
+        holder_.join();
+    }
+
+    void release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            released_ = true;
+        }
+        cv_.notify_all();
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool released_ = false;
+    std::atomic<std::size_t> entered_{0};
+    std::thread holder_;
+};
+
 } // namespace
+
+TEST(ServeConcurrent, PrivatePoolWorkNeverWaitsOnTheProcessPool)
+{
+    // The pool a front end hands in is the only pool its request runs
+    // on: with the process pool held busy, a robust plan, an optimal
+    // search and a server batch on a private serial pool still finish.
+    if (util::ThreadPool::global().parallelism() == 1)
+        GTEST_SKIP() << "a 0-worker process pool runs every call inline";
+    TempDir tmp("private_pool");
+    util::ThreadPool serial(0);
+    ProcessPoolHolder busy;
+
+    auto finishes = [&](const char *what, const std::function<void()> &call) {
+        std::future<void> done = std::async(std::launch::async, call);
+        if (done.wait_for(std::chrono::seconds(10)) !=
+            std::future_status::ready) {
+            busy.release();
+            done.get();
+            ADD_FAILURE() << what << " waited on the process pool";
+            return;
+        }
+        done.get();
+    };
+
+    const dnn::Network lenet = dnn::makeLenetC();
+    finishes("robustPlan", [&] {
+        sim::RobustOptions opts;
+        opts.rate = 0.2;
+        opts.samples = 3;
+        const sim::RobustResult r =
+            sim::robustPlan(lenet, sim::SimConfig{}, opts, serial);
+        EXPECT_EQ(r.sampleMaps.size(), 3u);
+    });
+    finishes("an H = 8 optimal search", [&] {
+        const core::CommModel model(lenet, core::CommConfig{});
+        const core::HierarchicalResult r =
+            core::OptimalPartitioner(model, serial).partition(8);
+        EXPECT_EQ(r.plan.numLevels(), 8u);
+    });
+    finishes("a server batch", [&] {
+        serve::ServeOptions opts;
+        opts.cacheDir = tmp.path;
+        opts.noCache = true;
+        opts.pool = &serial;
+        serve::Server server(opts);
+        const std::vector<std::string> out = runBatch(
+            server,
+            {R"({"op":"plan","model":"Lenet-c","levels":8,)"
+             R"("strategy":"optimal"})",
+             R"({"op":"evaluate","model":"SFC","levels":8})",
+             R"({"op":"sweep","model":"Lenet-c","levels":8,"level":0})"});
+        ASSERT_EQ(out.size(), 3u);
+        for (const std::string &line : out)
+            EXPECT_TRUE(serve::JsonValue::parse(line).find("ok")->asBool())
+                << line;
+    });
+}
 
 TEST(ServeConcurrent, RandomTrafficIsByteIdenticalAcrossThreadCounts)
 {

@@ -13,10 +13,11 @@
 
 #include "arch/fault_map.hh"
 #include "core/comm_report.hh"
-#include "core/optimal_partitioner.hh"
 #include "core/strategies.hh"
 #include "dnn/model_zoo.hh"
 #include "dnn/spec_parser.hh"
+#include "serve/canonical.hh"
+#include "serve/json.hh"
 #include "serve/server.hh"
 #include "sim/evaluator.hh"
 #include "sim/robust.hh"
@@ -24,10 +25,13 @@
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 
 namespace hypar::tools {
 
 namespace {
+
+using serve::jsonEscape;
 
 dnn::Network
 loadNetwork(const Options &opts)
@@ -47,39 +51,18 @@ makeConfig(const Options &opts)
     sim::SimConfig cfg;
     cfg.levels = opts.levels;
     cfg.comm.batch = opts.batch;
-    if (opts.topology == "htree")
-        cfg.topology = sim::TopologyKind::kHTree;
-    else if (opts.topology == "torus")
-        cfg.topology = sim::TopologyKind::kTorus;
-    else if (opts.topology == "mesh")
-        cfg.topology = sim::TopologyKind::kMesh;
-    else
-        util::fatal("unknown topology '" + opts.topology +
-                    "' (htree|torus|mesh)");
+    cfg.topology = serve::parseTopologyKind(opts.topology);
     cfg.options.overlapGradComm = opts.overlap;
     return cfg;
 }
 
+/** The --strategy plan; every CLI search runs on the process pool. */
 core::HierarchicalPlan
 makeStrategyPlan(const Options &opts, const core::CommModel &model,
                  core::HierarchicalResult *search_out = nullptr)
 {
-    if (opts.strategy == "hypar")
-        return core::makeHyparPlan(model, opts.levels);
-    if (opts.strategy == "dp")
-        return core::makeDataParallelPlan(model.network(), opts.levels);
-    if (opts.strategy == "mp")
-        return core::makeModelParallelPlan(model.network(), opts.levels);
-    if (opts.strategy == "owt")
-        return core::makeOneWeirdTrickPlan(model.network(), opts.levels);
-    if (opts.strategy == "optimal") {
-        auto result = core::OptimalPartitioner(model).partition(opts.levels);
-        if (search_out != nullptr)
-            *search_out = result;
-        return result.plan;
-    }
-    util::fatal("unknown strategy '" + opts.strategy +
-                "' (hypar|dp|mp|owt|optimal)");
+    return core::makeNamedPlan(opts.strategy, model, opts.levels,
+                               util::ThreadPool::global(), search_out);
 }
 
 int
@@ -228,20 +211,6 @@ struct SweepRow
     double stepSeconds = 0.0;
     double speedup = 0.0;
 };
-
-/** Escape a string for embedding in a JSON string value. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
 
 void
 writeSweepRows(const Options &opts, const std::string &mode,
